@@ -10,7 +10,8 @@ malloc from returning freed memory to the kernel (see PINNED_ENV).
 second (setup_s is the median), then runs passes over its steps until the
 next pass would overrun --seconds, and reports the median of each
 end-to-end metric over the passes. Timings are scaled to a reference
-machine speed measured by workloads.Calibration (see layers.md). --trace 1
+machine speed sampled while they are taken by workloads.Calibration (see
+layers.md). --trace 1
 runs one plain pass and one traced pass, and reports the per-layer metrics,
 the tracing overhead (traced minus plain total_s) and the exact-mean,
 median and interpolated-mean imputation times on the workload's XPCA model.
@@ -109,10 +110,11 @@ def check_canary(workloads, workload, fingerprints):
 
 def one_iteration(workload, ctx, ops, first, calibration=None, tracer=None):
     """Run the workload's steps once (traced, if a tracer is given), then
-    check their outputs with tracing off. With a calibration, quick steps
-    are repeated and every step is scaled to reference speed."""
+    check their outputs with tracing off, against the first pass's digest
+    if one is given. With a calibration, quick steps are repeated and every
+    step is scaled to reference speed."""
     from workloads import StepFailed, Steps
-    steps = Steps(ops, calibration)
+    steps = Steps(ops, calibration, workload.interp_share)
     if tracer is not None:
         tracer.install()
     t0 = time.perf_counter()
@@ -125,26 +127,19 @@ def one_iteration(workload, ctx, ops, first, calibration=None, tracer=None):
         if tracer is not None:
             tracer.uninstall()
     out["quality"] = workload.check(ctx, out, ops, first)
+    out["digest"] = workload.digest(out)
     out["seconds"] = dict(steps.seconds)
     out["raw_seconds"] = dict(steps.raw_seconds)
+    out["step_log"] = steps.log
     return out
 
 
 def timed_setup(workload, seed, workdir, calibration):
-    """Set up SETUP_REPEATS times, and more while the set-ups have taken
-    less than SETUP_SAMPLE_S in all. Returns the context, the raw times and
-    the times scaled by calibration samples taken around each set-up."""
-    times, scaled = [], []
-    before = calibration.samples()
-    while (len(times) < SETUP_REPEATS
-           or (sum(times) < SETUP_SAMPLE_S and len(times) < 200)):
-        t0 = time.perf_counter()
-        ctx = workload.setup(seed, workdir)
-        times.append(time.perf_counter() - t0)
-        after = calibration.samples()
-        scaled.append(times[-1] * calibration.factor(before + after))
-        before = after
-    return ctx, times, scaled
+    """Set up at least SETUP_REPEATS times and until SETUP_SAMPLE_S has
+    passed. Returns the context, the set-up times and the slowdown around
+    each."""
+    return calibration.repeat(lambda: workload.setup(seed, workdir),
+                              SETUP_REPEATS, 200, SETUP_SAMPLE_S)
 
 
 def crossover(model):
@@ -172,28 +167,42 @@ def fit_info(model):
 def run_plain(workload, seed, seconds, workdir, ops, report):
     from workloads import Calibration
     calibration = Calibration()
-    ctx, setup_times, setup_scaled = timed_setup(workload, seed, workdir,
-                                                 calibration)
-    iterations = []
-    start = time.perf_counter()
-    while True:
-        out = one_iteration(workload, ctx, ops,
-                            iterations[0] if iterations else None,
-                            calibration)
-        if out is None:
-            break
-        iterations.append(out)
-        # stop before a pass that would overrun; the first one's library
-        # cross-checks are one-off, so predict from the last pass's steps
-        if time.perf_counter() - start + out["wall_s"] > seconds:
-            break
+    # later passes are compared with the first by digest, and only their
+    # timings are kept, so peak memory does not grow with the pass count
+    iterations, first, xpca_info = [], None, None
+    calibration.start()
+    try:
+        ctx, setup_times, setup_slows = timed_setup(workload, seed, workdir,
+                                                    calibration)
+        start = time.perf_counter()
+        while True:
+            out = one_iteration(workload, ctx, ops, first, calibration)
+            if out is None:
+                break
+            if first is None:
+                first = out["digest"]
+                xpca_info = fit_info(workload.xpca_model(out))
+            iterations.append({key: out[key] for key in (
+                "seconds", "raw_seconds", "quality", "step_log")})
+            wall_s = out["wall_s"]
+            del out
+            # stop before a pass that would overrun; the first one's library
+            # cross-checks are one-off, so predict from the last pass's steps
+            if time.perf_counter() - start + wall_s > seconds:
+                break
+    finally:
+        calibration.stop()
     if not iterations:
         return None
-    report["setup_times"] = {"raw": setup_times, "scaled": setup_scaled}
+    report["setup"] = {"raw": setup_times, "slowdown": setup_slows}
     report["iterations"] = [{**it["seconds"], **it["quality"],
-                             "raw": it["raw_seconds"]} for it in iterations]
-    report["xpca_info"] = fit_info(workload.xpca_model(iterations[0]))
-    metrics = {"setup_s": statistics.median(setup_scaled),
+                             "raw": it["raw_seconds"], "steps": it["step_log"]}
+                            for it in iterations]
+    report["xpca_info"] = xpca_info
+    share = workload.interp_share["setup_s"]
+    setup_s = statistics.median(t * calibration.factor(slow, share)
+                                for t, slow in zip(setup_times, setup_slows))
+    metrics = {"setup_s": setup_s,
                "peak_mem_mb": resource.getrusage(
                    resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     for key in ("fit_s", "impute_s", "io_s", "total_s"):
@@ -211,7 +220,7 @@ def run_traced(workload, seed, workdir, ops, report, spans_path):
     if plain is None:
         return None
     tracer = Tracer()
-    traced = one_iteration(workload, ctx, ops, plain, tracer=tracer)
+    traced = one_iteration(workload, ctx, ops, plain["digest"], tracer=tracer)
     tracer.write(spans_path)
     if traced is None:
         return None

@@ -18,8 +18,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import math
 import os
+import signal
 import statistics
 import time
 from collections import defaultdict
@@ -72,82 +74,222 @@ def run_cli(argv):
 
 
 class Calibration:
-    """A fixed mix of interpreter work, small-array numpy calls and one
-    large elementwise pass, shaped like the library's own work. Its time,
-    sampled around a timed step, measures how fast the machine ran then.
+    """Measures how fast the machine runs while a step is timed, so each
+    timing can be scaled to a reference speed.
 
-    REFERENCE_S is its median time on the machine the bounds were set on
-    (a 2-vCPU x86-64 VM); factor() scales a timing to that speed.
+    On the shared 2-vCPU machine the bounds were set on, each core has slow
+    spells of a few seconds in which interpreter-bound code runs up to twice
+    as slowly and memory-bound numpy code about a third more slowly; the
+    two cores' spells are unrelated. A sample times two fixed kernels:
+    "numeric" (small-array numpy calls and one elementwise pass) and
+    "interp" (a JSON round trip of a model-shaped payload and float parsing
+    and formatting). Samples come in two kinds:
+
+    - "during": small kernels run every INTERVAL_S by a timer signal in
+      the benchmark's own thread while a long step runs. A long step
+      (Steps.once) is scaled by the mean of the samples taken during it,
+      and the time they took (spent) is left out of its time.
+    - "between": full-size kernels run before, between and after the runs
+      of a quick step, which is repeated (repeat), and of the set-ups. Each
+      run is scaled by the samples on either side of it.
+
+    Each workload says, per stage, what share of its work is of the
+    "interp" kind (interp_share); a step's slowdown blends the two kernels'
+    by that share. REFERENCE_S is each kernel's median time on that machine.
     """
 
-    REFERENCE_S = 0.012
-    SAMPLES = 3
+    INTERVAL_S = 0.05
+    MIN_SAMPLES = 3
+    GAP_SHARE = 0.1
+    REFERENCE_S = {"during": {"numeric": 0.0007, "interp": 0.0008},
+                   "between": {"numeric": 0.006, "interp": 0.011}}
 
     def __init__(self):
         rng = np.random.default_rng(12345)
-        self.small = rng.standard_normal((100, 100))
-        self.large = rng.standard_normal(400_000)
-        self.text = [repr(float(v)) for v in rng.standard_normal(2000)]
+        self.data = {"during": self._kernel_data(rng, 30, 8, 50_000, 60,
+                                                 20, 2, 20),
+                     "between": self._kernel_data(rng, 100, 20, 400_000, 2000,
+                                                  100, 20, 60)}
+        self.log = []
+        self.spent = 0.0
 
-    def sample(self):
+    @staticmethod
+    def _kernel_data(rng, side, loops, large, text, rows, tables, distinct):
+        return {"small": rng.standard_normal((side, side)), "loops": loops,
+                "large": rng.standard_normal(large),
+                "text": [repr(float(v)) for v in rng.standard_normal(text)],
+                "payload": {
+                    "U": rng.standard_normal((rows, 3)).tolist(),
+                    "tables": [
+                        {"distinct": np.sort(
+                            rng.standard_normal(distinct)).tolist(),
+                         "counts": rng.integers(1, 5, distinct).tolist()}
+                        for _ in range(tables)]}}
+
+    def sample(self, kind):
+        """One (numeric, interp) pair of kernel times."""
+        d = self.data[kind]
         t0 = time.perf_counter()
-        x = self.small
-        for _ in range(20):
+        x = d["small"]
+        for _ in range(d["loops"]):
             y = np.exp(-0.5 * x * x)
             np.where(x > 0, y, -y).sum()
             (x @ x.T).trace()
-        np.exp(-self.large * self.large).sum()
-        sum(float(t) for t in self.text)
-        ",".join(repr(float(t)) for t in self.text)
-        return time.perf_counter() - t0
+        np.exp(-d["large"] * d["large"]).sum()
+        t1 = time.perf_counter()
+        buf = io.StringIO()
+        json.dump(d["payload"], buf, indent=1)
+        np.array(json.loads(buf.getvalue())["U"], dtype=float)
+        sum(float(t) for t in d["text"])
+        ",".join(repr(float(t)) for t in d["text"])
+        t2 = time.perf_counter()
+        return t0, t1, t2
 
-    def samples(self):
-        return [self.sample() for _ in range(self.SAMPLES)]
+    def _on_timer(self, signum, frame):
+        t0, t1, t2 = self.sample("during")
+        self.log.append((0.5 * (t0 + t2), t1 - t0, t2 - t1))
+        self.spent += t2 - t0
 
-    def factor(self, around):
-        return self.REFERENCE_S / statistics.median(around)
+    def start(self):
+        signal.signal(signal.SIGALRM, self._on_timer)
+
+    def resume(self):
+        signal.setitimer(signal.ITIMER_REAL, self.INTERVAL_S, self.INTERVAL_S)
+
+    def pause(self):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+    def stop(self):
+        self.pause()
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+    def _gap(self, after_s):
+        """"between" samples covering at least GAP_SHARE of after_s (at
+        least one), as mean kernel times over the reference."""
+        ref = self.REFERENCE_S["between"]
+        samples, t0 = [], time.perf_counter()
+        while (not samples
+               or time.perf_counter() - t0 < self.GAP_SHARE * after_s):
+            s0, s1, s2 = self.sample("between")
+            samples.append((s1 - s0, s2 - s1))
+        return {"numeric": statistics.fmean(s[0] for s in samples)
+                / ref["numeric"],
+                "interp": statistics.fmean(s[1] for s in samples)
+                / ref["interp"]}
+
+    def repeat(self, fn, min_runs, max_runs, budget_s):
+        """Run fn (idempotent) at least min_runs times and until budget_s
+        has passed or max_runs runs, with "between" samples before the first
+        run and after each. Returns the last result, the run times and the
+        slowdown around each run: the mean of the gaps before and after."""
+        gaps, times = [self._gap(0.0)], []
+        t_start = time.perf_counter()
+        while True:
+            t0 = time.perf_counter()
+            result = fn()
+            times.append(time.perf_counter() - t0)
+            gaps.append(self._gap(times[-1]))
+            if (len(times) >= max_runs or (len(times) >= min_runs and
+                    time.perf_counter() - t_start >= budget_s)):
+                break
+        slows = [{k: 0.5 * (g0[k] + g1[k]) for k in g0}
+                 for g0, g1 in zip(gaps, gaps[1:])]
+        return result, times, slows
+
+    def slowdown_during(self, t0, t1):
+        """Mean kernel times over the reference of the samples taken
+        between t0 and t1, or of the MIN_SAMPLES nearest to them."""
+        inside = [s for s in self.log if t0 <= s[0] <= t1]
+        if len(inside) < self.MIN_SAMPLES:
+            mid = 0.5 * (t0 + t1)
+            inside = sorted(self.log, key=lambda s: abs(s[0] - mid))[
+                :self.MIN_SAMPLES]
+        ref = self.REFERENCE_S["during"]
+        return {"numeric": statistics.fmean(s[1] for s in inside)
+                / ref["numeric"],
+                "interp": statistics.fmean(s[2] for s in inside)
+                / ref["interp"]}
+
+    @staticmethod
+    def factor(slow, interp_share):
+        return 1.0 / ((1.0 - interp_share) * slow["numeric"]
+                      + interp_share * slow["interp"])
 
 
 class Steps:
     """Runs the steps of one pass and times each into its end-to-end stage.
 
-    With a calibration, a step that returns quickly is run again (it is
-    idempotent) until its samples cover STEP_SAMPLE_S or STEP_REPEATS runs,
-    the step counts at its median, and that median is scaled to reference
-    speed by calibration samples taken just before and after the step.
-    A stage's time is the sum of its steps' times; total_s sums them all.
-    raw_seconds keeps the unscaled sums.
+    With a calibration, a long step (Steps.once) runs once with "during"
+    samples on, and counts at its time less the time the samples took,
+    scaled by them. A quick step is run again (it is idempotent) through
+    Calibration.repeat until its runs cover STEP_SAMPLE_S or STEP_REPEATS
+    runs; it counts at the median of its runs, each scaled by the samples
+    around it. Which steps are long is fixed per workload, not measured, so
+    a step is timed the same way on every run. A stage's time is the sum of
+    its steps' times; total_s sums them all. raw_seconds keeps the unscaled
+    sums, and log every run's raw time and slowdown.
     """
 
     STEP_SAMPLE_S = 1.0
     STEP_REPEATS = 50
 
-    def __init__(self, ops, calibration=None):
+    def __init__(self, ops, calibration=None, interp_share=None):
         self.ops = ops
         self.calibration = calibration
+        self.interp_share = interp_share or {}
         self.seconds = defaultdict(float)
         self.raw_seconds = defaultdict(float)
+        self.log = []
 
     def __call__(self, stage, name, fn, *args):
+        """A quick step: repeated."""
+        return self._step(stage, name, fn, args, repeat=True)
+
+    def once(self, stage, name, fn, *args):
+        """A long step: run once with "during" samples."""
+        return self._step(stage, name, fn, args, repeat=False)
+
+    def cli(self, stage, argv, once=False):
+        run = self.once if once else self
+        return run(stage, "cli " + argv[0], run_cli, argv)
+
+    def _step(self, stage, name, fn, args, repeat):
         cal = self.calibration
-        around = cal.samples() if cal is not None else []
-        samples = []
-        while True:
+        if cal is None:
             t0 = time.perf_counter()
             result = self.ops.call(name, fn, *args)
-            samples.append(time.perf_counter() - t0)
-            if (cal is None or sum(samples) >= self.STEP_SAMPLE_S
-                    or len(samples) >= self.STEP_REPEATS):
-                break
-        step = statistics.median(samples)
-        scaled = step * cal.factor(around + cal.samples()) if cal else step
+            step = scaled = time.perf_counter() - t0
+        else:
+            result, step, scaled = self._calibrated(cal, stage, name, fn, args,
+                                                    repeat)
         for key in (stage, "total_s"):
             self.raw_seconds[key] += step
             self.seconds[key] += scaled
         return result
 
-    def cli(self, stage, argv):
-        return self(stage, "cli " + argv[0], run_cli, argv)
+    def _calibrated(self, cal, stage, name, fn, args, repeat):
+        share = self.interp_share[stage]
+        if not repeat:
+            spent = cal.spent
+            cal.resume()
+            t0 = time.perf_counter()
+            try:
+                result = self.ops.call(name, fn, *args)
+            finally:
+                t1 = time.perf_counter()
+                cal.pause()
+            step = t1 - t0 - (cal.spent - spent)
+            slow = cal.slowdown_during(t0, t1)
+            self.log.append({"stage": stage, "step": name, "raw": [step],
+                             "slowdown": [slow]})
+            return result, step, step * cal.factor(slow, share)
+        result, times, slows = cal.repeat(
+            lambda: self.ops.call(name, fn, *args), 1, self.STEP_REPEATS,
+            self.STEP_SAMPLE_S)
+        self.log.append({"stage": stage, "step": name, "raw": times,
+                         "slowdown": slows})
+        return result, statistics.median(times), statistics.median(
+            t * cal.factor(slow, share) for t, slow in zip(times, slows))
 
 
 def draw(m, n, spec, holdout, data_key, mask_key):
@@ -207,6 +349,10 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def _file_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -216,13 +362,16 @@ class LibraryWorkload:
     """Fit PCA, COCA and XPCA in the library, impute with each default
     estimator, round-trip the XPCA model through a file and impute again."""
 
-    def __init__(self, name, m, n, spec, holdout, order, seeded_mask):
+    def __init__(self, name, m, n, spec, holdout, order, seeded_mask,
+                 long_steps, interp_share):
         self.name = name
         self.m, self.n = m, n
         self.spec = gc.named_spec(spec)
         self.holdout = holdout
         self.order = order
         self.seeded_mask = seeded_mask
+        self.long_steps = long_steps
+        self.interp_share = interp_share
 
     def instance(self, seed):
         key = (0, self.m, 0)
@@ -237,7 +386,11 @@ class LibraryWorkload:
                 "model_path": os.path.join(workdir, "xpca.json"),
                 "resave_path": os.path.join(workdir, "xpca-resaved.json")}
 
-    def run(self, ctx, step):
+    def run(self, ctx, steps):
+        def step(stage, name, fn, *args):
+            run = steps.once if name in self.long_steps else steps
+            return run(stage, name, fn, *args)
+
         train = ctx["train"]
         fitters = {"pca": lambda: gc.fit_pca(train, RANK),
                    "coca": lambda: gc.fit_coca(train, RANK),
@@ -269,9 +422,14 @@ class LibraryWorkload:
                   == _file_bytes(ctx["model_path"]))
         if first is not None:
             ops.check("repeat iteration reproduces every estimate",
-                      all(_bitwise_equal(out["est"][m], first["est"][m])
-                          for m in out["est"]))
+                      self.digest(out) == first)
         return quality
+
+    def digest(self, out):
+        """Hashes of every estimate, to compare later passes with the
+        first without keeping its arrays."""
+        return {m: _sha256(np.ascontiguousarray(est).tobytes())
+                for m, est in out["est"].items()}
 
     def xpca_model(self, out):
         return out["models"]["xpca"]
@@ -298,6 +456,9 @@ class CliWorkload:
     per-cell distributions from the generating model, cross-validation."""
 
     name = "cli-pca-coca"
+    # CSV parsing and formatting make every CLI command interpreter-heavy
+    interp_share = {"setup_s": 0.75, "fit_s": 0.75, "impute_s": 0.75,
+                    "io_s": 1.0, "cv_s": 0.5}
     m, n = 1000, 100
     missing = 0.3
     n_cells = 300
@@ -346,23 +507,25 @@ class CliWorkload:
         for method in ("pca", "coca", "xpca"):
             step.cli("impute_s", ["impute", "--model", p[method + ".json"],
                                   "--input", p["data.csv"],
-                                  "--output", p[method + "-filled.csv"]])
+                                  "--output", p[method + "-filled.csv"]],
+                     once=True)
         step.cli("impute_s", ["impute", "--model", p["xpca.json"],
                               "--output", p["cells.csv"],
                               "--distributions", p["dist.csv"]]
-                 + ctx["cell_args"])
+                 + ctx["cell_args"], once=True)
         step.cli("cv_s", ["cv", "--input", p["data.csv"],
                           "--methods", "pca,coca",
                           "--ranks", "%d..%d" % self.cv_ranks,
                           "--folds", str(self.cv_folds),
-                          "--output", p["cv.csv"]])
+                          "--output", p["cv.csv"]], once=True)
         loaded = step("io_s", "load_model", gc.load_model, p["xpca.json"])
         step("io_s", "save_model", gc.save_model, loaded,
              p["xpca-resaved.json"])
         return {"loaded": loaded,
-                "outputs": {name: _file_bytes(p[name]) for name in (
-                    "pca-filled.csv", "coca-filled.csv", "xpca-filled.csv",
-                    "cells.csv", "dist.csv", "cv.csv")}}
+                "outputs": {name: _sha256(_file_bytes(p[name]))
+                            for name in ("pca-filled.csv", "coca-filled.csv",
+                                         "xpca-filled.csv", "cells.csv",
+                                         "dist.csv", "cv.csv")}}
 
     def check(self, ctx, out, ops, first):
         p, train, hold = ctx["path"], ctx["train"], ctx["hold"]
@@ -421,8 +584,11 @@ class CliWorkload:
                                        rel_tol=1e-9))
         else:
             ops.check("repeat iteration reproduces every output file",
-                      out["outputs"] == first["outputs"])
+                      self.digest(out) == first)
         return quality
+
+    def digest(self, out):
+        return out["outputs"]
 
     def _library_cv(self, data, method, rank):
         """Pooled standardized holdout MSE over the folds the cv command
@@ -452,10 +618,22 @@ class CliWorkload:
 WORKLOADS = {
     "xpca-mixed-100": LibraryWorkload("xpca-mixed-100", 100, 100, "mixed",
                                       0.5, ("pca", "coca", "xpca"),
-                                      seeded_mask=False),
+                                      seeded_mask=False,
+                                      long_steps={"fit xpca"},
+                                      interp_share={"setup_s": 0.5,
+                                                    "fit_s": 0.5,
+                                                    "impute_s": 0.75,
+                                                    "io_s": 1.0}),
     "xpca-exp-tall": LibraryWorkload("xpca-exp-tall", 4000, 100,
                                      "exponential", 0.8,
                                      ("xpca", "pca", "coca"),
-                                     seeded_mask=True),
+                                     seeded_mask=True,
+                                     long_steps={"fit xpca", "impute xpca",
+                                                 "impute loaded xpca"},
+                                     # 4000-row arrays: memory-bound numpy
+                                     interp_share={"setup_s": 0.25,
+                                                   "fit_s": 0.25,
+                                                   "impute_s": 0.75,
+                                                   "io_s": 1.0}),
     "cli-pca-coca": CliWorkload(),
 }
