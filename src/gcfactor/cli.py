@@ -212,7 +212,8 @@ def cmd_simulate(args):
 
 
 def _cv_mse(data, folds, method, rank):
-    """Pooled standardized holdout MSE over all folds for one method/rank."""
+    """Pooled standardized holdout MSE over all folds for one method/rank.
+    Each fold's fit that did not converge gets one line on stderr."""
     sq_sum = 0.0
     count = 0
     for k in range(folds.n_folds):
@@ -220,11 +221,22 @@ def _cv_mse(data, folds, method, rank):
         train = ObservedMatrix(data.values, data.mask & ~hold,
                                column_names=data.column_names)
         if method == "pca":
-            est = pca_impute(fit_pca(train, rank))
+            model = fit_pca(train, rank)
+            est = pca_impute(model)
         elif method == "coca":
-            est = coca_impute(fit_coca(train, rank))
+            model = fit_coca(train, rank)
+            est = coca_impute(model)
         else:
-            est = impute(fit_xpca(train, rank=rank))
+            model = fit_xpca(train, rank=rank)
+            est = impute(model)
+        info = model.info
+        if not info["converged"]:
+            spent = "%d sweeps" % info["sweeps"]
+            if method == "xpca":
+                spent += ", %d evals" % info["evals"]
+            print("warning: %s rank %d fold %d of %d did not converge (%s)"
+                  % (method, rank, k + 1, folds.n_folds, spent),
+                  file=sys.stderr)
         scales = np.array([np.std(train.column_observed(j))
                            for j in range(train.n)])
         resid = (est - data.values) / scales

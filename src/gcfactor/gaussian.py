@@ -120,12 +120,16 @@ def coca_transform(data, ties="midpoint"):
 
 def _solve_rows(W, Z0, basis, ridge):
     # one normal-equation solve per row of the updated factor:
-    # H_i = basisᵀ diag(w_i) basis + ridge I, g_i = basisᵀ (w_i ⊙ z_i)
+    # H_i = basisᵀ diag(w_i) basis + ridge I, g_i = basisᵀ (w_i ⊙ z_i).
+    # Every H_i comes from one matmul of W against the table of outer
+    # products b_j b_jᵀ; Z0 is zero off the mask, so w_i ⊙ z_i = z_i.
+    # W and Z0 may be transposed views: BLAS reads them in place.
     k = basis.shape[1]
-    H = np.einsum("ij,jk,jl->ikl", W, basis, basis, optimize=True)
+    outer = (basis[:, :, None] * basis[:, None, :]).reshape(len(basis), k * k)
+    H = (W @ outer).reshape(-1, k, k)
     H[:, np.arange(k), np.arange(k)] += ridge
-    g = (W * Z0) @ basis
-    return np.linalg.solve(H, g[:, :, None])[:, :, 0]
+    g = Z0 @ basis
+    return np.linalg.solve(H, g[:, :, None])[:, :, 0], g
 
 
 def _masked_sse(Z0, W, U, V):
@@ -140,6 +144,14 @@ def fit_gaussian(z, rank, max_sweeps=500, tol=1e-9, ridge=1e-8):
     entries, alternating least squares (exact block solves with a small
     ridge) starts from the SVD of the zero-filled matrix and stops when the
     relative SSE change drops below tol.
+
+    One sweep costs two masked Gram products, O(mnk²) each as a single
+    BLAS matmul of the mask against a table of basis outer products, plus
+    m + n small k×k solves. The stop test reads the SSE off the V-step
+    normal equations, Σ z² − Σ_j v_jᵀ g_j − ridge·‖V‖², in O(nk) instead
+    of forming U Vᵀ. That identity can cancel to a tiny negative number on
+    exactly low-rank data, so the returned SSE and sigma are computed
+    directly from the final factors.
 
     Returns (U, V, sigma, info) where sigma is the residual-scale MLE
     sqrt(SSE / #observed) and info records sweeps, convergence, and SSE.
@@ -162,18 +174,20 @@ def fit_gaussian(z, rank, max_sweeps=500, tol=1e-9, ridge=1e-8):
         info = {"sweeps": 0, "converged": True, "sse": sse}
         return U, V, sigma, info
 
+    total_sq = float(np.sum(Z0 * Z0))
     sse = _masked_sse(Z0, W, U, V)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        U = _solve_rows(W, Z0, V, ridge)
-        V = _solve_rows(W.T, Z0.T, U, ridge)
-        new_sse = _masked_sse(Z0, W, U, V)
+        U = _solve_rows(W, Z0, V, ridge)[0]
+        V, g = _solve_rows(W.T, Z0.T, U, ridge)
+        new_sse = total_sq - float(np.sum(V * g)) - ridge * float(np.sum(V * V))
         rel = abs(sse - new_sse) / max(sse, new_sse, 1e-300)
         sse = new_sse
         if rel < tol:
             converged = True
             break
+    sse = _masked_sse(Z0, W, U, V)
     sigma = np.sqrt(sse / n_obs)
     info = {"sweeps": sweeps, "converged": converged, "sse": sse}
     return U, V, sigma, info

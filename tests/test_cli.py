@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from _support import planted
+from gcfactor import cli as gc_cli
 from gcfactor.cli import main
 from gcfactor.data import load_csv, write_csv
 
@@ -154,3 +155,34 @@ def test_cv_schema_and_determinism(data_csv, tmp_path):
         ("pca", "1"), ("pca", "2"), ("coca", "1"), ("coca", "2")]
     for row in rows[1:]:
         assert float(row[2]) > 0.0
+
+
+def test_cv_reports_unconverged_fits_on_stderr(data_csv, tmp_path, capsys,
+                                               monkeypatch):
+    args = ["cv", "--input", data_csv, "--folds", "3", "--ranks", "1..2",
+            "--methods", "pca", "--seed", "7"]
+    out_ok = str(tmp_path / "ok.csv")
+    assert main(args + ["--output", out_ok]) == 0
+    ok = capsys.readouterr()
+    assert ok.err == ""
+
+    real_fit_pca = gc_cli.fit_pca
+
+    def stalled_fit_pca(data, rank):
+        model = real_fit_pca(data, rank)
+        model.info["converged"] = False
+        return model
+
+    monkeypatch.setattr(gc_cli, "fit_pca", stalled_fit_pca)
+    out_stalled = str(tmp_path / "stalled.csv")
+    assert main(args + ["--output", out_stalled]) == 0
+    stalled = capsys.readouterr()
+    lines = stalled.err.splitlines()
+    assert len(lines) == 6
+    for line, (rank, fold) in zip(lines, [(r, f) for r in (1, 2)
+                                          for f in (1, 2, 3)]):
+        assert line.startswith("warning: pca rank %d fold %d of 3 did not "
+                               "converge (" % (rank, fold))
+        assert line.endswith(" sweeps)")
+    assert stalled.out == ok.out.replace(out_ok, out_stalled)
+    assert open(out_stalled, "rb").read() == open(out_ok, "rb").read()

@@ -122,6 +122,73 @@ def test_fit_gaussian_missing_beats_zero_fill_baseline():
     assert n_converged >= 3
 
 
+def _reference_als(z, rank, max_sweeps=500, tol=1e-9, ridge=1e-8):
+    # the straightforward masked ALS: per-row Gram matrices by einsum, the
+    # right-hand side from W * Z0, and the SSE formed from U Vᵀ every sweep
+    W = z.mask.astype(float)
+    Z0 = np.where(z.mask, z.values, 0.0)
+    Us, s, Vt = np.linalg.svd(Z0, full_matrices=False)
+    U, V = Us[:, :rank] * s[:rank], Vt[:rank].T
+
+    def solve_rows(W, Z0, basis):
+        H = np.einsum("ij,jk,jl->ikl", W, basis, basis) + ridge * np.eye(rank)
+        g = (W * Z0) @ basis
+        return np.linalg.solve(H, g[:, :, None])[:, :, 0]
+
+    def sse(U, V):
+        R = (Z0 - U @ V.T) * W
+        return float(np.sum(R * R))
+
+    old = sse(U, V)
+    for sweeps in range(1, max_sweeps + 1):
+        U = solve_rows(W, Z0, V)
+        V = solve_rows(W.T, Z0.T, U)
+        new = sse(U, V)
+        rel = abs(old - new) / max(old, new, 1e-300)
+        old = new
+        if rel < tol:
+            return U, V, sweeps, True
+    return U, V, max_sweeps, False
+
+
+@pytest.mark.parametrize("true_rank, rank, missing, seed", [
+    (1, 1, 0.3, 0),
+    (2, 2, 0.5, 1),
+    (3, 3, 0.4, 2),
+    # over-specified ranks crawl along flat directions: two stop at the
+    # sweep cap, two converge only after hundreds of sweeps
+    (3, 4, 0.5, 3),
+    (2, 4, 0.3, 4),
+    (2, 4, 0.5, 7),
+    (3, 4, 0.3, 8),
+])
+def test_fit_gaussian_matches_reference_als(true_rank, rank, missing, seed):
+    om = random_matrix(m=40, n=25, rank=true_rank, noise=0.3,
+                       missing=missing, seed=seed)
+    z = ZMatrix(np.where(om.mask, om.values, 0.0), om.mask)
+    U, V, sigma, info = fit_gaussian(z, rank)
+    U_ref, V_ref, sweeps, converged = _reference_als(z, rank)
+    assert info["sweeps"] == sweeps
+    assert info["converged"] == converged
+    theta_ref = U_ref @ V_ref.T
+    assert np.linalg.norm(U @ V.T - theta_ref) <= 1e-8 * np.linalg.norm(theta_ref)
+
+
+def test_fit_gaussian_reports_direct_sse_on_exact_low_rank():
+    # on exactly rank-2 data the normal-equation SSE cancels to roundoff
+    # and can come out negative; the reported SSE and sigma must not
+    rng = np.random.default_rng(8)
+    full = rng.normal(size=(40, 2)) @ rng.normal(size=(25, 2)).T
+    mask = rng.random(size=full.shape) >= 0.4
+    z = ZMatrix(np.where(mask, full, 0.0), mask)
+    U, V, sigma, info = fit_gaussian(z, 2)
+    direct = float(np.sum((full - U @ V.T)[mask] ** 2))
+    assert info["sse"] >= 0.0
+    assert info["sse"] == pytest.approx(direct, rel=1e-12, abs=1e-300)
+    assert np.isfinite(sigma)
+    assert sigma == pytest.approx(np.sqrt(direct / mask.sum()), rel=1e-12)
+
+
 def test_fit_gaussian_rank_validation():
     z = ZMatrix(np.zeros((4, 3)), np.ones((4, 3), dtype=bool))
     with pytest.raises(ValueError):
