@@ -130,7 +130,21 @@ def cmd_fit(args):
         print("sweeps=%d converged=%s"
               % (info.get("sweeps", 0), info.get("converged")))
     print("model written to %s" % args.output)
+    _warn_unconverged("%s rank %d" % (model.method, args.rank), model)
     return 0
+
+
+def _warn_unconverged(fit_name, model):
+    """One stderr line for a fit that did not converge: sweeps, plus
+    evaluations for XPCA."""
+    info = model.info
+    if info["converged"]:
+        return
+    spent = "%d sweeps" % info["sweeps"]
+    if model.method == "xpca":
+        spent += ", %d evals" % info["evals"]
+    print("warning: %s did not converge (%s)" % (fit_name, spent),
+          file=sys.stderr)
 
 
 def cmd_impute(args):
@@ -229,14 +243,8 @@ def _cv_mse(data, folds, method, rank):
         else:
             model = fit_xpca(train, rank=rank)
             est = impute(model)
-        info = model.info
-        if not info["converged"]:
-            spent = "%d sweeps" % info["sweeps"]
-            if method == "xpca":
-                spent += ", %d evals" % info["evals"]
-            print("warning: %s rank %d fold %d of %d did not converge (%s)"
-                  % (method, rank, k + 1, folds.n_folds, spent),
-                  file=sys.stderr)
+        _warn_unconverged("%s rank %d fold %d of %d"
+                          % (method, rank, k + 1, folds.n_folds), model)
         scales = np.array([np.std(train.column_observed(j))
                            for j in range(train.n)])
         resid = (est - data.values) / scales

@@ -63,7 +63,6 @@ class FitOptions:
     sigma_floor: float = 1e-4
     seed: int = 0
     lbfgs_memory: int = 10
-    verbosity: int = 0
     ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self):
@@ -131,8 +130,11 @@ class FitState:
     def theta(self):
         return self.U @ self.V.T
 
+    def observed_theta(self):
+        return self.bounds.observed_theta(self.U, self.V)
+
     def refresh_nll(self):
-        ws = compute_workspace(self.theta(), self.sigma, self.bounds,
+        ws = compute_workspace(self.observed_theta(), self.sigma, self.bounds,
                                derivs=False)
         self.penalty = nuclear_penalty(self.U, self.V, self.ridge)[0]
         self.nll = ws.nll() + self.penalty
@@ -142,7 +144,7 @@ class FitState:
 def gradient_maxnorm(state):
     """Max-norm of the full objective gradient in (U, V, log sigma)
     coordinates."""
-    ws = compute_workspace(state.theta(), state.sigma, state.bounds)
+    ws = compute_workspace(state.observed_theta(), state.sigma, state.bounds)
     gU, gV = grad_factors(state.U, state.V, state.sigma, state.bounds,
                           workspace=ws)
     if state.ridge:
@@ -159,8 +161,8 @@ def _gradient_converged(state):
 
 
 def _phase_eval(U, V, sigma, bounds, axis, half_ridge):
-    ws = compute_workspace(U @ V.T, sigma, bounds, derivs=False,
-                           on_underflow="inf")
+    ws = compute_workspace(bounds.observed_theta(U, V), sigma, bounds,
+                           derivs=False, on_underflow="inf")
     F = U if axis == 0 else V
     loss = ws.row_nll() if axis == 0 else ws.col_nll()
     return loss + half_ridge * np.sum(F * F, axis=1) if half_ridge else loss
@@ -191,16 +193,16 @@ def _factor_phase(state, axis):
     k = F.shape[1]
     half_ridge = 0.5 * state.ridge
 
-    ws = compute_workspace(U @ V.T, sigma, bounds)
+    ws = compute_workspace(bounds.observed_theta(U, V), sigma, bounds)
     loss = ws.row_nll() if axis == 0 else ws.col_nll()
-    G = ws.A @ V if axis == 0 else ws.A.T @ U
-    H = batched_row_hessians(basis, ws.D2, axis)
+    G = grad_factors(U, V, sigma, bounds, workspace=ws)[axis]
+    H = batched_row_hessians(basis, ws, axis)
     if state.ridge:
         loss = loss + half_ridge * np.sum(F * F, axis=1)
         G = G + state.ridge * F
         H[:, np.arange(k), np.arange(k)] += state.ridge
 
-    counts = bounds.mask.sum(axis=1 - axis)
+    counts = bounds.row_counts if axis == 0 else bounds.col_counts
     pending = (counts > 0) & (np.max(np.abs(G), axis=1) > 0)
     newF = F.copy()
     lam = np.full(F.shape[0], 1e-8) * np.trace(H, axis1=1, axis2=2) / k
@@ -248,7 +250,7 @@ def _factor_phase(state, axis):
 def _sigma_phase(state, opts):
     """Scale update: Newton when the curvature is positive, otherwise a
     backtracked gradient step; never drops below the floor."""
-    theta = state.theta()
+    theta = state.observed_theta()
     ws = compute_workspace(theta, state.sigma, state.bounds)
     g = grad_sigma(None, state.sigma, state.bounds, workspace=ws)
     if g == 0.0:
@@ -288,7 +290,7 @@ def bcd_sweep(state, opts):
     _sigma_phase(state, opts)
 
     penalty = nuclear_penalty(state.U, state.V, state.ridge)[0]
-    end = compute_workspace(state.theta(), state.sigma, state.bounds,
+    end = compute_workspace(state.observed_theta(), state.sigma, state.bounds,
                             derivs=False).nll() + penalty
     if end > start:
         state.U, state.V, state.sigma = saved
@@ -344,7 +346,8 @@ def lbfgs_fit(state, opts):
         U = x[: m * k].reshape(m, k)
         V = x[m * k: m * k + n * k].reshape(n, k)
         sigma = math.exp(x[-1])
-        ws = compute_workspace(U @ V.T, sigma, bounds, on_underflow="inf")
+        ws = compute_workspace(bounds.observed_theta(U, V), sigma, bounds,
+                               on_underflow="inf")
         f = ws.nll()
         if not np.isfinite(f):
             return 1e30, np.zeros_like(x)
@@ -365,8 +368,9 @@ def lbfgs_fit(state, opts):
         else:
             U = xk[: m * k].reshape(m, k)
             V = xk[m * k: m * k + n * k].reshape(n, k)
-            ws = compute_workspace(U @ V.T, math.exp(xk[-1]), bounds,
-                                   derivs=False, on_underflow="inf")
+            ws = compute_workspace(bounds.observed_theta(U, V),
+                                   math.exp(xk[-1]), bounds, derivs=False,
+                                   on_underflow="inf")
             state.trace.append(ws.nll() + nuclear_penalty(U, V, ridge)[0])
 
     res = scipy.optimize.minimize(
@@ -403,7 +407,7 @@ def _warm_start(data, opts):
     # a near-interpolating warm start can strand entries outside machine
     # range; widen sigma until every observed interval carries probability
     while True:
-        ws = compute_workspace(state.theta(), state.sigma, bounds,
+        ws = compute_workspace(state.observed_theta(), state.sigma, bounds,
                                derivs=False, on_underflow="inf")
         if np.isfinite(ws.nll()) or state.sigma >= 1.0:
             state.nll = float(ws.nll()) + state.penalty
@@ -444,9 +448,9 @@ def fit_xpca(data, options=None, **kw):
         _run_bcd(state, opts, opts.iteration_budget())
 
     nll_before = state.nll - state.penalty
-    theta_before = state.theta()
+    theta_before = state.observed_theta()
     U, V = orthogonalize(state.U, state.V)
-    theta_after = U @ V.T
+    theta_after = state.bounds.observed_theta(U, V)
     drift = float(np.max(np.abs(theta_after - theta_before)))
     if drift > 1e-6 * (1.0 + float(np.max(np.abs(theta_before)))):
         raise RuntimeError("orthogonalization moved theta by %g" % drift)

@@ -15,11 +15,10 @@ ZInterval = namedtuple("ZInterval", ["lower", "upper"])
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
-# Beyond this standardized distance both interval endpoints are deep in one
-# tail and the direct CDF difference loses all precision, so the log-space
-# path takes over. Direct Phi underflows near 38.6; switching at 5 keeps a
-# wide safety margin on both sides.
-_TAIL_SWITCH = 5.0
+# Same-tail switch: once both standardized endpoints lie beyond this
+# distance on one side, the direct CDF difference starts losing digits (well
+# before it underflows near 38.6), so the log-space path takes over.
+_SIDE = 2.0
 
 
 class IntervalUnderflowError(FloatingPointError):
@@ -57,17 +56,34 @@ def std_normal_quantile(p):
     return out
 
 
-def _log_tail_diff(lo, hi):
-    # log(Phi(hi) - Phi(lo)) for arrays already known to sit in the lower
-    # tail (hi <= -_TAIL_SWITCH). log_ndtr stays accurate to x ~ -1e9.
-    la = log_ndtr(lo)
-    lb = log_ndtr(hi)
-    # lb >= la; difference of exponentials in log space
+def _log_diff(hi, lo):
+    # log(exp(hi) - exp(lo)) elementwise, hi >= lo; equal args give -inf
     with np.errstate(invalid="ignore"):
-        d = la - lb
-    # lo = -inf gives la = -inf hence d = -inf and log1p(-0) = 0
-    d = np.where(np.isneginf(la), -np.inf, d)
-    return lb + np.log1p(-np.exp(d))
+        d = lo - hi
+    d = np.where(np.isneginf(lo), -np.inf, d)
+    with np.errstate(divide="ignore"):
+        return hi + np.log1p(-np.exp(d))
+
+
+def _split_tails(x, y):
+    """Sort standardized intervals (x, y] into the body and the same tails.
+
+    Returns (tail, upper, xt, yt): the tail mask, which tail intervals sit
+    in the upper tail, and the tail intervals reflected onto the upper tail,
+    P(x < Z <= y) = P(-y <= Z < -x), so that xt >= _SIDE throughout.
+    """
+    upper_tail = x >= _SIDE
+    tail = upper_tail | (y <= -_SIDE)
+    upper = upper_tail[tail]
+    xt = np.where(upper, x[tail], -y[tail])
+    yt = np.where(upper, y[tail], -x[tail])
+    return tail, upper, xt, yt
+
+
+def _tail_log_prob(xt, yt):
+    # log(Phi(-xt) - Phi(-yt)) from the log-CDFs, which stay accurate to
+    # about -1e9
+    return _log_diff(log_ndtr(-xt), log_ndtr(-yt))
 
 
 def log_interval_prob(lower, upper, theta=0.0, sigma=1.0):
@@ -85,8 +101,8 @@ def log_interval_prob(lower, upper, theta=0.0, sigma=1.0):
     float or ndarray
         The log probability. Computed directly where the interval has
         non-negligible mass, and via complementary log-space tails when both
-        standardized endpoints land beyond +-5, so results stay finite far
-        beyond the point where Phi differences underflow.
+        standardized endpoints land beyond 2 on one side, so results stay
+        finite far beyond the point where Phi differences underflow.
 
     Raises
     ------
@@ -114,19 +130,13 @@ def log_interval_prob(lower, upper, theta=0.0, sigma=1.0):
 
     a, b = np.broadcast_arrays(a, b)
     out = np.empty(a.shape, dtype=float)
-
-    lower_tail = b <= -_TAIL_SWITCH
-    upper_tail = a >= _TAIL_SWITCH
-    body = ~(lower_tail | upper_tail)
-
+    tail, _, xt, yt = _split_tails(a, b)
+    body = ~tail
     if np.any(body):
         with np.errstate(divide="ignore"):
             out[body] = np.log(ndtr(b[body]) - ndtr(a[body]))
-    if np.any(lower_tail):
-        out[lower_tail] = _log_tail_diff(a[lower_tail], b[lower_tail])
-    if np.any(upper_tail):
-        # reflect: P(a < Z <= b) = P(-b <= Z' < -a), Z' symmetric
-        out[upper_tail] = _log_tail_diff(-b[upper_tail], -a[upper_tail])
+    if np.any(tail):
+        out[tail] = _tail_log_prob(xt, yt)
 
     if np.any(np.isneginf(out)) or np.any(np.isnan(out)):
         raise IntervalUnderflowError(

@@ -11,6 +11,7 @@ from _support import planted
 from gcfactor import cli as gc_cli
 from gcfactor.cli import main
 from gcfactor.data import load_csv, write_csv
+from gcfactor.model_io import load_model
 
 
 @pytest.fixture
@@ -46,6 +47,24 @@ def test_fit_impute_round_trip(data_csv, tmp_path):
                  "--max-iterations", "40",
                  "--input", data_csv, "--output", model2]) == 0
     assert open(model).read() == open(model2).read()
+
+
+def test_fit_reports_unconverged_fit_on_stderr(data_csv, tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    args = ["fit", "--method", "xpca", "--rank", "2",
+            "--input", data_csv, "--output", model]
+    assert main(args + ["--optimizer", "bcd", "--max-iterations", "1"]) == 0
+    stalled = capsys.readouterr()
+    assert not load_model(model).info["converged"]
+    assert stalled.err == ("warning: xpca rank 2 did not converge "
+                           "(1 sweeps, 0 evals)\n")
+    assert "warning" not in stalled.out
+    assert "converged=False" in stalled.out
+
+    assert main(args) == 0
+    ok = capsys.readouterr()
+    assert load_model(model).info["converged"]
+    assert ok.err == ""
 
 
 def test_impute_with_input_fills_only_missing(data_csv, tmp_path):

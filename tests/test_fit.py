@@ -187,7 +187,7 @@ def test_underflow_reported_as_infinite_loss():
     ws = compute_workspace(np.zeros((1, 1)), 1.0, bounds, derivs=True,
                            on_underflow="inf")
     assert np.isposinf(ws.nll())
-    assert ws.A[0, 0] == 0.0
+    assert ws.A[0] == 0.0
 
 
 def test_matches_rank_transform_fit_on_continuous_data():

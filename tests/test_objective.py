@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import log_ndtr, ndtr
 
 from gcfactor.data import ObservedMatrix
 from gcfactor.marginals import fit_edf, global_epsilon
@@ -23,6 +24,13 @@ from gcfactor.objective import (
 def rel_err(a, b, floor=1e-10):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor))
+
+
+def dense(bounds, values):
+    """Scatter flat per-entry values onto the m×n grid, NaN elsewhere."""
+    out = np.full(bounds.shape, np.nan)
+    out[bounds.rows, bounds.cols] = values
+    return out
 
 
 def single_bounds(lo, hi):
@@ -65,12 +73,13 @@ def test_build_bounds_binary_column():
     om = ObservedMatrix(col)
     edfs = [fit_edf(om.column_observed(j)) for j in range(2)]
     bounds = build_bounds(om, edfs, 0.25)
+    lower, upper = dense(bounds, bounds.lower), dense(bounds, bounds.upper)
     from scipy.special import ndtri
     c = ndtri(0.3)
-    assert bounds.lower[0, 0] == -np.inf
-    assert bounds.upper[0, 0] == pytest.approx(c, abs=1e-12)
-    assert bounds.lower[-1, 0] == pytest.approx(c, abs=1e-12)
-    assert np.isposinf(bounds.upper[-1, 0])
+    assert lower[0, 0] == -np.inf
+    assert upper[0, 0] == pytest.approx(c, abs=1e-12)
+    assert lower[-1, 0] == pytest.approx(c, abs=1e-12)
+    assert np.isposinf(upper[-1, 0])
 
 
 def test_build_bounds_reference_value():
@@ -78,9 +87,10 @@ def test_build_bounds_reference_value():
     om = ObservedMatrix(np.column_stack([col, np.tile([0.0, 1.0], 500)]))
     edfs = [fit_edf(om.column_observed(j)) for j in range(2)]
     bounds = build_bounds(om, edfs, global_epsilon(edfs))
+    lower, upper = dense(bounds, bounds.lower), dense(bounds, bounds.upper)
     i = 70 + 301  # first row holding value 3
-    assert bounds.lower[i, 0] == pytest.approx(-0.329206, abs=1e-5)
-    assert bounds.upper[i, 0] == pytest.approx(0.845199, abs=1e-5)
+    assert lower[i, 0] == pytest.approx(-0.329206, abs=1e-5)
+    assert upper[i, 0] == pytest.approx(0.845199, abs=1e-5)
 
 
 def test_build_bounds_continuous_uniform_widths():
@@ -90,7 +100,8 @@ def test_build_bounds_continuous_uniform_widths():
     om = ObservedMatrix(vals)
     edfs = [fit_edf(om.column_observed(j)) for j in range(2)]
     bounds = build_bounds(om, edfs, global_epsilon(edfs))
-    widths = std_normal_cdf(bounds.upper[:, 0]) - std_normal_cdf(bounds.lower[:, 0])
+    lower, upper = dense(bounds, bounds.lower), dense(bounds, bounds.upper)
+    widths = std_normal_cdf(upper[:, 0]) - std_normal_cdf(lower[:, 0])
     assert np.allclose(widths, 1.0 / 40.0, atol=1e-15)
 
 
@@ -259,7 +270,8 @@ def test_grad_factors_single_entry_chain_rule():
     V = np.array([[2.0], [-1.0]])
     ws = compute_workspace(U @ V.T, 0.9, b)
     gU, gV = grad_factors(U, V, 0.9, b, workspace=ws)
-    a = ws.A[0, 1]
+    assert (b.rows[0], b.cols[0]) == (0, 1)
+    a = ws.A[0]
     assert gU[0, 0] == pytest.approx(a * V[1, 0], rel=1e-14)
     assert gU[1, 0] == 0.0
     assert gV[1, 0] == pytest.approx(a * U[0, 0], rel=1e-14)
@@ -325,7 +337,7 @@ def test_row_hessian_trivial_forms():
     assert np.allclose(row_hessian_u(V, ws, 0), np.eye(3))
     # k=1 reduces to sum d2 * v^2
     V1 = np.array([[0.5], [2.0], [-1.0]])
-    ws.D2[:] = [[1.0, 2.0, 3.0]]
+    ws.D2[:] = [1.0, 2.0, 3.0]
     got = row_hessian_u(V1, ws, 0)
     assert got[0, 0] == pytest.approx(1 * 0.25 + 2 * 4.0 + 3 * 1.0)
 
@@ -333,19 +345,196 @@ def test_row_hessian_trivial_forms():
 def test_batched_row_hessians_match_single():
     om, bounds, U, V, sigma = mixed_instance(m=8, n=6, seed=31)
     ws = compute_workspace(U @ V.T, sigma, bounds)
-    HU = batched_row_hessians(V, ws.D2, axis=0)
-    HV = batched_row_hessians(U, ws.D2, axis=1)
+    HU = batched_row_hessians(V, ws, axis=0)
+    HV = batched_row_hessians(U, ws, axis=1)
+    k = U.shape[1]
+    want_U = np.zeros((U.shape[0], k, k))
+    want_V = np.zeros((V.shape[0], k, k))
+    for i, j, d in zip(bounds.rows, bounds.cols, ws.D2):
+        want_U[i] += d * np.outer(V[j], V[j])
+        want_V[j] += d * np.outer(U[i], U[i])
     for i in range(U.shape[0]):
-        assert np.allclose(HU[i], row_hessian_u(V, ws, i), atol=1e-12)
+        assert np.allclose(HU[i], want_U[i], atol=1e-12)
     for j in range(V.shape[0]):
-        assert np.allclose(HV[j], row_hessian_v(U, ws, j), atol=1e-12)
+        assert np.allclose(HV[j], want_V[j], atol=1e-12)
 
 
 def test_workspace_zero_off_mask():
     om, bounds, U, V, sigma = mixed_instance(seed=37)
     ws = compute_workspace(U @ V.T, sigma, bounds)
-    off = ~bounds.mask
+    # one slot per observed entry, in row-major order, and none elsewhere
+    rows, cols = np.nonzero(om.mask)
+    assert rows.size < om.mask.size
+    assert np.array_equal(bounds.rows, rows) and np.array_equal(bounds.cols, cols)
     for arr in (ws.logp, ws.A, ws.D2, ws.T2, ws.T3):
-        assert np.all(arr[off] == 0.0)
+        assert arr.shape == (rows.size,)
+    assert np.sum(ws.row_nll()) == pytest.approx(ws.nll(), rel=1e-14)
+    assert np.sum(ws.col_nll()) == pytest.approx(ws.nll(), rel=1e-14)
     assert np.isfinite(ws.nll())
     assert ws.nll() == pytest.approx(-np.sum(ws.logp))
+
+
+# ------------------------------------------- dense reference kernel
+
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def _ref_log_phi(x):
+    out = np.full_like(x, -np.inf)
+    finite = np.isfinite(x)
+    out[finite] = -0.5 * x[finite] ** 2 - _LOG_SQRT_2PI
+    return out
+
+
+def _ref_log_xkphi(x, k):
+    out = np.full_like(x, -np.inf)
+    finite = np.isfinite(x)
+    xf = x[finite]
+    out[finite] = k * np.log(xf) - 0.5 * xf ** 2 - _LOG_SQRT_2PI
+    return out
+
+
+def _ref_log_diff(hi, lo):
+    with np.errstate(invalid="ignore"):
+        d = lo - hi
+    d = np.where(np.isneginf(lo), -np.inf, d)
+    with np.errstate(divide="ignore"):
+        return hi + np.log1p(-np.exp(d))
+
+
+def _ref_phi(x):
+    out = np.zeros_like(x)
+    finite = np.isfinite(x)
+    out[finite] = np.exp(-0.5 * x[finite] ** 2 - _LOG_SQRT_2PI)
+    return out
+
+
+def _ref_xkphi(x, k):
+    out = np.zeros_like(x)
+    finite = np.isfinite(x)
+    xf = np.clip(x[finite], -40.0, 40.0)
+    out[finite] = xf ** k * np.exp(-0.5 * xf ** 2 - _LOG_SQRT_2PI)
+    return out
+
+
+def reference_workspace(theta, sigma, lower, upper, mask):
+    """The m×n kernel the flat one replaced: every cell is evaluated, with
+    unobserved cells parked on (-1, 1] and zeroed afterwards. Underflowing
+    entries come back as logp = -inf with zero derivatives. Returns dense
+    (logp, A, D2, T2, T3)."""
+    with np.errstate(invalid="ignore"):
+        x = (lower - theta) / sigma
+        y = (upper - theta) / sigma
+    x = np.where(np.isneginf(lower), -np.inf, x)
+    y = np.where(np.isposinf(upper), np.inf, y)
+    x = np.where(mask, x, -1.0)
+    y = np.where(mask, y, 1.0)
+    upper_tail = x >= 2.0
+    lower_tail = y <= -2.0
+    tail = upper_tail | lower_tail
+    body = ~tail
+    logp, A, D2, T2, T3 = (np.zeros(mask.shape) for _ in range(5))
+    xb, yb = x[body], y[body]
+    p = ndtr(yb) - ndtr(xb)
+    with np.errstate(divide="ignore"):
+        logp[body] = np.log(p)
+    pd = np.where(p > 0, p, 1.0)
+    t1 = (_ref_phi(yb) - _ref_phi(xb)) / pd
+    t2 = (_ref_xkphi(yb, 1) - _ref_xkphi(xb, 1)) / pd
+    A[body] = t1 / sigma
+    D2[body] = (t1 * t1 + t2) / sigma ** 2
+    T2[body] = t2
+    T3[body] = (_ref_xkphi(yb, 3) - _ref_xkphi(xb, 3)) / pd
+    xt = np.where(upper_tail[tail], x[tail], -y[tail])
+    yt = np.where(upper_tail[tail], y[tail], -x[tail])
+    sign = np.where(upper_tail[tail], -1.0, 1.0)
+    lp = _ref_log_diff(log_ndtr(-xt), log_ndtr(-yt))
+    logp[tail] = lp
+    t1 = sign * np.exp(_ref_log_diff(_ref_log_phi(xt), _ref_log_phi(yt)) - lp)
+    t2 = -np.exp(_ref_log_diff(_ref_log_xkphi(xt, 1), _ref_log_xkphi(yt, 1)) - lp)
+    A[tail] = t1 / sigma
+    D2[tail] = (t1 * t1 + t2) / sigma ** 2
+    T2[tail] = t2
+    T3[tail] = -np.exp(_ref_log_diff(_ref_log_xkphi(xt, 3),
+                                     _ref_log_xkphi(yt, 3)) - lp)
+    bad = mask & (np.isneginf(logp) | np.isnan(logp))
+    logp[bad] = -np.inf
+    for arr in (A, D2, T2, T3):
+        arr[bad] = 0.0
+    for arr in (logp, A, D2, T2, T3):
+        arr[~mask] = 0.0
+    return logp, A, D2, T2, T3
+
+
+def assert_close(got, want, rel=1e-12):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    if finite.any():
+        assert rel_err(got[finite], want[finite]) < rel
+
+
+def extreme_instance(seed, reject):
+    """A mixed instance pushed into both tails: latent means up to about
+    +-6 against cuts within +-2.5, sigma near 0.5, and with reject a few
+    entries moved 1e20 away so their interval underflows even in log
+    space."""
+    om, bounds, U, V, _ = mixed_instance(m=14, n=11, rank=3, missing=0.35,
+                                         seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    U, V = 2.0 * U, 1.5 * V
+    theta = U @ V.T
+    if reject:
+        i, j = bounds.rows[::17], bounds.cols[::17]
+        finite = np.isfinite(dense(bounds, bounds.lower)[i, j]) & np.isfinite(
+            dense(bounds, bounds.upper)[i, j])
+        theta[i[finite], j[finite]] = 1e20 * rng.choice([-1.0, 1.0], finite.sum())
+    return bounds, U, V, theta, float(rng.uniform(0.4, 0.7))
+
+
+@pytest.mark.parametrize("seed,reject", [(0, False), (1, False), (2, False),
+                                         (3, True), (4, True)])
+def test_flat_kernel_matches_dense_reference(seed, reject):
+    bounds, U, V, theta, sigma = extreme_instance(seed, reject)
+    lower, upper = dense(bounds, bounds.lower), dense(bounds, bounds.upper)
+    ref = reference_workspace(theta, sigma, lower, upper, bounds.mask)
+    flat = theta[bounds.rows, bounds.cols]
+    ws = compute_workspace(flat, sigma, bounds, on_underflow="inf")
+
+    # the instance covers the body, both tails, half lines and rejects
+    with np.errstate(invalid="ignore"):
+        x = (bounds.lower - flat) / sigma
+        y = (bounds.upper - flat) / sigma
+    assert np.any(x >= 2.0) and np.any(y <= -2.0)
+    assert np.any((x < 2.0) & (y > -2.0))
+    assert np.any(np.isneginf(bounds.lower)) and np.any(np.isposinf(bounds.upper))
+    assert np.any(np.isneginf(ws.logp)) == reject
+
+    at = (bounds.rows, bounds.cols)
+    for got, want in zip((ws.logp, ws.A, ws.D2, ws.T2, ws.T3), ref):
+        assert_close(got, want[at])
+    assert_close(ws.nll(), -np.sum(ref[0]))
+    assert_close(ws.row_nll(), -np.sum(ref[0], axis=1))
+    assert_close(ws.col_nll(), -np.sum(ref[0], axis=0))
+
+    gU, gV = grad_factors(U, V, sigma, bounds, workspace=ws)
+    assert_close(gU, ref[1] @ V)
+    assert_close(gV, ref[1].T @ U)
+    assert_close(batched_row_hessians(V, ws, axis=0),
+                 np.einsum("ij,jk,jl->ikl", ref[2], V, V))
+    assert_close(batched_row_hessians(U, ws, axis=1),
+                 np.einsum("ji,jk,jl->ikl", ref[2], U, U))
+
+
+@pytest.mark.parametrize("fill", [np.nan, 1e300, -np.inf])
+def test_kernel_never_reads_unobserved_cells(fill):
+    om, bounds, U, V, sigma = mixed_instance(seed=41)
+    theta = U @ V.T
+    clean = compute_workspace(theta, sigma, bounds)
+    dirty = np.where(bounds.mask, theta, fill)
+    ws = compute_workspace(dirty, sigma, bounds)
+    for name in ("logp", "A", "D2", "T2", "T3"):
+        assert np.array_equal(getattr(ws, name), getattr(clean, name))
+    flat = compute_workspace(theta[bounds.rows, bounds.cols], sigma, bounds)
+    assert np.array_equal(flat.logp, clean.logp)
