@@ -153,12 +153,6 @@ def cmd_impute(args):
     if args.estimator is not None and model.method != "xpca":
         raise ValueError("--estimator applies only to xpca models; "
                          "this model was fitted by %s" % model.method)
-    if model.method == "pca":
-        estimates = pca_impute(model)
-    elif model.method == "coca":
-        estimates = coca_impute(model)
-    else:
-        estimates = impute(model, estimator=args.estimator or "mean-interp")
 
     data = None
     if args.input:
@@ -168,17 +162,24 @@ def cmd_impute(args):
                              % (data.m, data.n, m, n))
 
     # cells to report individually: explicit list, else the input's missing
-    # entries, else none (whole-matrix output)
+    # entries, else none (whole-matrix output). An explicit list is also
+    # the only part of the matrix that gets imputed.
     targets = None
+    scope = None
     if args.cells:
         for i, j in args.cells:
             if i >= m or j >= n:
                 raise ValueError("cell (%d, %d) is outside the %dx%d model"
                                  % (i, j, m, n))
         targets = list(args.cells)
+        scope = np.zeros((m, n), dtype=bool)
+        scope[tuple(np.array(targets).T)] = True
     elif data is not None:
         ii, jj = np.nonzero(~data.mask)
         targets = list(zip(ii.tolist(), jj.tolist()))
+
+    estimates = impute(model, estimator=args.estimator or "mean-interp",
+                       scope=scope)
 
     if args.cells:
         rows = [[i, j, repr(float(estimates[i, j]))] for i, j in targets]

@@ -227,9 +227,12 @@ def compute_workspace(theta, sigma, bounds, derivs=True, on_underflow="raise"):
         logp[tail] = lp
         if derivs:
             sign = np.where(upper_tail, -1.0, 1.0)
-            t1[tail] = sign * np.exp(_log_diff(_log_phi(xt), _log_phi(yt)) - lp)
-            T2[tail] = -np.exp(_log_diff(_log_xkphi(xt, 1), _log_xkphi(yt, 1)) - lp)
-            T3[tail] = -np.exp(_log_diff(_log_xkphi(xt, 3), _log_xkphi(yt, 3)) - lp)
+            # a rejected entry (lp = -inf) gives -inf - -inf = nan here; it
+            # is zeroed with the other bad entries below
+            with np.errstate(invalid="ignore"):
+                t1[tail] = sign * np.exp(_log_diff(_log_phi(xt), _log_phi(yt)) - lp)
+                T2[tail] = -np.exp(_log_diff(_log_xkphi(xt, 1), _log_xkphi(yt, 1)) - lp)
+                T3[tail] = -np.exp(_log_diff(_log_xkphi(xt, 3), _log_xkphi(yt, 3)) - lp)
 
     bad = np.isneginf(logp) | np.isnan(logp)
     if np.any(bad):

@@ -104,6 +104,24 @@ def test_impute_cells_and_distributions(data_csv, tmp_path):
         assert abs(sum(probs) - 1.0) < 1e-10
 
 
+def test_impute_cells_match_whole_matrix(data_csv, tmp_path):
+    model = str(tmp_path / "model.json")
+    cells_out = str(tmp_path / "cells.csv")
+    full_out = str(tmp_path / "full.csv")
+    assert main(["fit", "--method", "xpca", "--rank", "2",
+                 "--input", data_csv, "--output", model]) == 0
+    cells = [(0, 1), (4, 3), (7, 3), (2, 0)]
+    args = ["impute", "--model", model, "--output", cells_out]
+    for i, j in cells:
+        args += ["--cells", "%d,%d" % (i, j)]
+    assert main(args) == 0
+    assert main(["impute", "--model", model, "--output", full_out]) == 0
+    full = np.array(read_rows(full_out)[1:], dtype=float)
+    rows = read_rows(cells_out)[1:]
+    assert [(int(r[0]), int(r[1])) for r in rows] == cells
+    assert all(float(r[2]) == full[int(r[0]), int(r[1])] for r in rows)
+
+
 def test_usage_errors_exit_2(data_csv, tmp_path):
     model = str(tmp_path / "model.json")
     with pytest.raises(SystemExit) as exc:

@@ -3,8 +3,12 @@ masses, saturation limits, quadrature cross-checks, distribution telescoping
 on fitted models, monotonicity, support bounds, and interpolation accuracy
 against the exact mean."""
 
+import importlib
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from _support import planted
 from gcfactor.fit import fit_xpca
@@ -208,3 +212,91 @@ def test_distribution_validation():
         MeanCurve([0.0, 1.0, 0.5], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         MeanCurve([0.0, 1.0, 2.0], [1.0, 0.5, 3.0])
+
+
+def direct_means(thetas, edf, sigma):
+    """Support-weighted mean of each entry distribution, cut by cut."""
+    zs = (edf.z_cuts[None, :] - np.asarray(thetas, dtype=float)[:, None])
+    zs = zs / sigma
+    zs[:, 0] = -np.inf
+    zs[:, -1] = np.inf
+    return np.diff(ndtr(zs), axis=1) @ edf.distinct
+
+
+def exponential_column():
+    # ~800 distinct values, the shape of the benchmark's tall columns
+    return np.random.default_rng(5).exponential(size=800)
+
+
+MEAN_KERNEL_CASES = {
+    "binary": (np.repeat([0.0, 1.0], [60, 40]), 0.52),
+    "800 values": (exponential_column(), 0.52),
+    "sigma at floor": (exponential_column(), 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEAN_KERNEL_CASES))
+def test_mean_kernel_matches_direct_sum(case):
+    column, sigma = MEAN_KERNEL_CASES[case]
+    edf = fit_edf(column)
+    span = edf.distinct[-1] - edf.distinct[0]
+    cuts = edf.z_cuts[1:-1]
+    body = np.linspace(cuts[0] - 3.0 * sigma, cuts[-1] + 3.0 * sigma, 4001)
+    anchors = build_mean_curve(theta_model([0.0], column, sigma), 0, 3).grid
+    # the last pair puts every bin's Hermite argument at its +-40 clip
+    extremes = np.array([-1e20, 1e20, cuts[0] - 40.0 * sigma,
+                         cuts[-1] + 40.0 * sigma])
+    thetas = np.concatenate([body, anchors[[0, -1]], extremes])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = impute_mean(theta_model(thetas, column, sigma))[:, 0]
+    want = direct_means(thetas, edf, sigma)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-13 * span
+    # nondecreasing up to the same accuracy
+    assert np.all(np.diff(got[:body.size]) >= -1e-13 * span)
+    # the curve pins its anchors to the support limits; the kernel agrees,
+    # and so it does at the extremes
+    limits = edf.distinct[[0, -1, 0, -1, 0, -1]]
+    assert np.max(np.abs(got[body.size:] - limits)) <= 1e-13 * span
+
+
+def test_entry_distribution_reads_one_latent_mean(monkeypatch):
+    data, _ = planted(30, 7, 2, 0.5, seed=23, missing=0.2, kinds="trinary")
+    model = fit_xpca(data, rank=2)
+    theta = model.theta()
+    want = {}
+    for i in range(model.m):
+        for j, edf in enumerate(model.marginals):
+            zs = (edf.z_cuts - theta[i, j]) / model.sigma
+            zs[0], zs[-1] = -np.inf, np.inf
+            want[i, j] = np.diff(ndtr(zs))
+
+    def no_theta(self):
+        raise AssertionError("entry_distribution built the whole theta")
+
+    monkeypatch.setattr(FactorModel, "theta", no_theta)
+    for (i, j), probs in want.items():
+        dist = entry_distribution(model, i, j)
+        assert np.max(np.abs(dist.probs - probs)) <= 1e-14
+
+
+def test_scoped_interp_builds_only_needed_curves(monkeypatch):
+    data, _ = planted(60, 9, 2, 0.5, seed=19, missing=0.3, kinds="trinary")
+    model = fit_xpca(data, rank=2)
+    full = impute_mean_interp(model)
+    built = []
+
+    def recording(model, j, q):
+        built.append(j)
+        return build_mean_curve(model, j, q)
+
+    # the package namespace binds the name impute to the function
+    module = importlib.import_module("gcfactor.impute")
+    monkeypatch.setattr(module, "build_mean_curve", recording)
+    scope = np.zeros((60, 9), dtype=bool)
+    scope[[3, 17, 40], [1, 1, 6]] = True
+    part = impute_mean_interp(model, scope=scope)
+    assert built == [1, 6]
+    assert np.array_equal(part[scope], full[scope])
+    assert np.all(np.isnan(part[~scope]))

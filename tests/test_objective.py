@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
@@ -538,3 +540,17 @@ def test_kernel_never_reads_unobserved_cells(fill):
         assert np.array_equal(getattr(ws, name), getattr(clean, name))
     flat = compute_workspace(theta[bounds.rows, bounds.cols], sigma, bounds)
     assert np.array_equal(flat.logp, clean.logp)
+
+
+def test_rejected_tail_entry_raises_no_warning():
+    # theta far below a finite interval: its log probability underflows in
+    # the tail branch, and the rejected entry must come back quietly
+    bounds = BoundsMatrix(np.array([[0.5, -np.inf]]), np.array([[1.5, 0.0]]),
+                          np.ones((1, 2), dtype=bool))
+    theta = np.array([[-1e20, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ws = compute_workspace(theta, 1.0, bounds, on_underflow="inf")
+    assert np.isneginf(ws.logp[0]) and np.isfinite(ws.logp[1])
+    for arr in (ws.A, ws.D2, ws.T2, ws.T3):
+        assert arr[0] == 0.0 and np.isfinite(arr[1])
