@@ -23,6 +23,7 @@ from .gaussian import (
     fit_coca,
     fit_gaussian,
     fit_pca,
+    fit_ranks,
     pca_impute,
 )
 from .impute import (
@@ -62,6 +63,7 @@ __all__ = [
     "fit_edf",
     "fit_gaussian",
     "fit_pca",
+    "fit_ranks",
     "fit_xpca",
     "generate",
     "global_epsilon",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import ObservedMatrix, load_csv, split_folds
 from .fit import fit_xpca
-from .gaussian import coca_impute, fit_coca, fit_pca, pca_impute
+from .gaussian import fit_coca, fit_pca, fit_ranks
 from .impute import entry_distribution, impute
 from .model_io import load_model, save_model
 from .simulate import named_spec, run_scenario
@@ -130,21 +130,22 @@ def cmd_fit(args):
         print("sweeps=%d converged=%s"
               % (info.get("sweeps", 0), info.get("converged")))
     print("model written to %s" % args.output)
-    _warn_unconverged("%s rank %d" % (model.method, args.rank), model)
+    note = _unconverged_note("%s rank %d" % (model.method, args.rank), model)
+    if note:
+        print(note, file=sys.stderr)
     return 0
 
 
-def _warn_unconverged(fit_name, model):
-    """One stderr line for a fit that did not converge: sweeps, plus
-    evaluations for XPCA."""
+def _unconverged_note(fit_name, model):
+    """The stderr line for a fit that did not converge, else None: sweeps,
+    plus evaluations for XPCA."""
     info = model.info
     if info["converged"]:
-        return
+        return None
     spent = "%d sweeps" % info["sweeps"]
     if model.method == "xpca":
         spent += ", %d evals" % info["evals"]
-    print("warning: %s did not converge (%s)" % (fit_name, spent),
-          file=sys.stderr)
+    return "warning: %s did not converge (%s)" % (fit_name, spent)
 
 
 def cmd_impute(args):
@@ -226,32 +227,38 @@ def cmd_simulate(args):
     return 0
 
 
-def _cv_mse(data, folds, method, rank):
-    """Pooled standardized holdout MSE over all folds for one method/rank.
-    Each fold's fit that did not converge gets one line on stderr."""
-    sq_sum = 0.0
+def _cv_mse(data, folds, method, ranks):
+    """Pooled standardized holdout MSE over all folds for one method at
+    each rank, and per rank the stderr lines of its folds' fits that did
+    not converge, in fold order.
+
+    The loop runs over folds: each fold's training matrix and column
+    scales, and for pca and coca its transform and SVD (fit_ranks), are
+    built once and shared by every rank, then dropped.
+    """
+    sq_sums = [0.0] * len(ranks)
+    notes = [[] for _ in ranks]
     count = 0
     for k in range(folds.n_folds):
         hold = folds.holdout_mask(k)
         train = ObservedMatrix(data.values, data.mask & ~hold,
                                column_names=data.column_names)
-        if method == "pca":
-            model = fit_pca(train, rank)
-            est = pca_impute(model)
-        elif method == "coca":
-            model = fit_coca(train, rank)
-            est = coca_impute(model)
-        else:
-            model = fit_xpca(train, rank=rank)
-            est = impute(model)
-        _warn_unconverged("%s rank %d fold %d of %d"
-                          % (method, rank, k + 1, folds.n_folds), model)
         scales = np.array([np.std(train.column_observed(j))
                            for j in range(train.n)])
-        resid = (est - data.values) / scales
-        sq_sum += float(np.sum(resid[hold] ** 2))
+        if method == "xpca":
+            models = (fit_xpca(train, rank=rank) for rank in ranks)
+        else:
+            models = fit_ranks(method, train, ranks)
+        for r, model in enumerate(models):
+            note = _unconverged_note("%s rank %d fold %d of %d"
+                                     % (method, ranks[r], k + 1,
+                                        folds.n_folds), model)
+            if note:
+                notes[r].append(note)
+            resid = (impute(model) - data.values) / scales
+            sq_sums[r] += float(np.sum(resid[hold] ** 2))
         count += int(hold.sum())
-    return sq_sum / count
+    return [sq_sum / count for sq_sum in sq_sums], notes
 
 
 def cmd_cv(args):
@@ -263,8 +270,10 @@ def cmd_cv(args):
     folds = split_folds(data, args.folds, seed=args.seed)
     rows = []
     for method in args.methods:
-        for rank in args.ranks:
-            mse = _cv_mse(data, folds, method, rank)
+        mses, notes = _cv_mse(data, folds, method, args.ranks)
+        for rank, mse, rank_notes in zip(args.ranks, mses, notes):
+            for note in rank_notes:
+                print(note, file=sys.stderr)
             rows.append([method, rank, repr(mse)])
             print("%s rank %d: cv mse %.6g" % (method, rank, mse))
     _write_rows(args.output, ["method", "rank", "mse"], rows)

@@ -23,6 +23,8 @@ import scipy.optimize
 
 from .gaussian import (
     FactorModel,
+    _lower_pairs,
+    _solve_packed,
     coca_transform,
     fit_gaussian,
     orthogonalize,
@@ -207,14 +209,15 @@ def _factor_phase(state, axis):
     newF = F.copy()
     lam = np.full(F.shape[0], 1e-8) * np.trace(H, axis1=1, axis2=2) / k
     lam = np.maximum(lam, 1e-300)
+    pair_row, pair_col = _lower_pairs(k)
+    packed = H[:, pair_row, pair_col].T
 
     for _ in range(_LAMBDA_ATTEMPTS):
         if not pending.any():
             break
         idx = np.flatnonzero(pending)
-        Hp = H[idx] + lam[idx, None, None] * np.eye(k)
         try:
-            step = np.linalg.solve(Hp, G[idx][:, :, None])[:, :, 0]
+            step = _solve_packed(packed[:, idx], G[idx].T, lam[idx])
         except np.linalg.LinAlgError:
             lam[idx] *= 2.0
             continue

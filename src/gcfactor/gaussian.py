@@ -1,6 +1,8 @@
 """Shared low-rank Gaussian machinery: column transforms, masked SSE
 minimization, orthogonalization, and the PCA/COCA imputers."""
 
+import functools
+
 import numpy as np
 
 from .data import ObservedMatrix
@@ -25,6 +27,10 @@ class ZMatrix:
     @property
     def shape(self):
         return self.values.shape
+
+    def zero_filled(self):
+        """The values with 0 in place of every unobserved entry."""
+        return np.where(self.mask, self.values, 0.0)
 
 
 class FactorModel:
@@ -118,18 +124,73 @@ def coca_transform(data, ties="midpoint"):
     return ZMatrix(z, data.mask), edfs
 
 
+@functools.lru_cache(maxsize=32)
+def _lower_pairs(k):
+    # (row, col) of each entry of a k×k lower triangle, column by column:
+    # the order in which packed Gram matrices store their entries
+    cols, rows = np.triu_indices(k)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _solve_packed(H, g, shift):
+    """Solve (H_i + shift_i I) x_i = g_i for every row i of a batch of
+    small symmetric positive definite systems.
+
+    H holds each row's lower triangle packed as (k(k+1)/2, rows) in
+    _lower_pairs order, g is (k, rows), and shift is a scalar or one value
+    per row. Returns x as (rows, k).
+
+    A Cholesky factorization vectorized over rows: every numpy call works
+    on whole vectors over rows, O(k) calls in all. The factor of row i is
+    L[:k, :, i], computed column by column (left-looking); g rides along
+    as row k of L, so the same column updates do the forward substitution,
+    and a back substitution finishes. A non-positive or non-finite pivot
+    raises np.linalg.LinAlgError.
+    """
+    k, m = g.shape
+    rows, cols = _lower_pairs(k)
+    L = np.empty((k + 1, k, m))
+    L[rows, cols] = H
+    L[k] = g
+    pivots = L[:k].reshape(k * k, m)[::k + 1]   # the diagonal, as a view
+    pivots += shift
+    # a failed pivot turns into NaN, 0 or inf and is caught below; a
+    # non-finite right-hand side gives a non-finite x quietly, as LAPACK does
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(k):
+            if j:
+                L[j:, j] -= np.einsum("ipm,pm->im", L[j:, :j], L[j, :j])
+            np.sqrt(L[j, j], out=L[j, j])
+            L[j + 1:, j] /= L[j, j]
+        if not (pivots.min() > 0.0 and pivots.max() < np.inf):
+            raise np.linalg.LinAlgError(
+                "a row system is not positive definite")
+        x = L[k]
+        for i in range(k - 1, -1, -1):
+            if i + 1 < k:
+                x[i] -= np.einsum("pm,pm->m", L[i + 1:k, i], x[i + 1:])
+            x[i] /= pivots[i]
+    return x.T.copy()
+
+
 def _solve_rows(W, Z0, basis, ridge):
-    # one normal-equation solve per row of the updated factor:
-    # H_i = basisᵀ diag(w_i) basis + ridge I, g_i = basisᵀ (w_i ⊙ z_i).
-    # Every H_i comes from one matmul of W against the table of outer
-    # products b_j b_jᵀ; Z0 is zero off the mask, so w_i ⊙ z_i = z_i.
-    # W and Z0 may be transposed views: BLAS reads them in place.
-    k = basis.shape[1]
-    outer = (basis[:, :, None] * basis[:, None, :]).reshape(len(basis), k * k)
-    H = (W @ outer).reshape(-1, k, k)
-    H[:, np.arange(k), np.arange(k)] += ridge
-    g = Z0 @ basis
-    return np.linalg.solve(H, g[:, :, None])[:, :, 0], g
+    """One normal-equation solve per row of the updated factor:
+    (basisᵀ diag(w_i) basis + ridge I) x_i = basisᵀ (w_i ⊙ z_i).
+
+    The k(k+1)/2 distinct entries of every row's Gram matrix come from one
+    matmul of the table of basis products b_ja b_jc (a ≥ c) against Wᵀ, as
+    (pairs, rows), so each entry is a contiguous vector over rows; that
+    costs O(rows·len(basis)·k²/2). _solve_packed then factorizes all rows
+    at once, O(rows·k³/6). Z0 is zero off the mask, so w_i ⊙ z_i = z_i.
+    W and Z0 may be transposed views: BLAS reads them in place.
+    Returns the new factor (rows × k) and the right-hand sides as (k, rows).
+    """
+    rows, cols = _lower_pairs(basis.shape[1])
+    H = (basis[:, rows] * basis[:, cols]).T @ W.T
+    g = basis.T @ Z0.T
+    return _solve_packed(H, g, ridge), g
 
 
 def _masked_sse(Z0, W, U, V):
@@ -137,21 +198,24 @@ def _masked_sse(Z0, W, U, V):
     return float(np.sum(R * R))
 
 
-def fit_gaussian(z, rank, max_sweeps=500, tol=1e-9, ridge=1e-8):
+def fit_gaussian(z, rank, max_sweeps=500, tol=1e-9, ridge=1e-8, svd=None):
     """Minimize the observed-entry SSE with a rank-`rank` factorization.
 
     Complete data goes straight through the truncated SVD. With missing
     entries, alternating least squares (exact block solves with a small
     ridge) starts from the SVD of the zero-filled matrix and stops when the
-    relative SSE change drops below tol.
+    relative SSE change drops below tol. svd, when given, is that SVD as
+    np.linalg.svd(z.zero_filled(), full_matrices=False) returns it, so
+    fits at several ranks can share one decomposition (fit_ranks).
 
-    One sweep costs two masked Gram products, O(mnk²) each as a single
-    BLAS matmul of the mask against a table of basis outer products, plus
-    m + n small k×k solves. The stop test reads the SSE off the V-step
-    normal equations, Σ z² − Σ_j v_jᵀ g_j − ridge·‖V‖², in O(nk) instead
-    of forming U Vᵀ. That identity can cancel to a tiny negative number on
-    exactly low-rank data, so the returned SSE and sigma are computed
-    directly from the final factors.
+    One sweep costs two masked Gram products, each a single BLAS matmul of
+    the mask against the k(k+1)/2 distinct basis products (O(mnk²/2)
+    flops), plus m + n k×k Cholesky solves, O((m + n)k³/6) flops in O(k)
+    numpy calls vectorized over rows (_solve_rows). The stop test reads
+    the SSE off the V-step normal equations, Σ z² − Σ_j v_jᵀ g_j −
+    ridge·‖V‖², in O(nk) instead of forming U Vᵀ. That identity can cancel
+    to a tiny negative number on exactly low-rank data, so the returned SSE
+    and sigma are computed directly from the final factors.
 
     Returns (U, V, sigma, info) where sigma is the residual-scale MLE
     sqrt(SSE / #observed) and info records sweeps, convergence, and SSE.
@@ -161,10 +225,12 @@ def fit_gaussian(z, rank, max_sweeps=500, tol=1e-9, ridge=1e-8):
     if not 1 <= rank <= min(m, n):
         raise ValueError("rank must lie in [1, min(m, n)]")
     W = mask.astype(float)
-    Z0 = np.where(mask, values, 0.0)
+    Z0 = z.zero_filled()
     n_obs = int(mask.sum())
 
-    Us, s, Vt = np.linalg.svd(Z0, full_matrices=False)
+    if svd is None:
+        svd = np.linalg.svd(Z0, full_matrices=False)
+    Us, s, Vt = svd
     U = Us[:, :rank] * s[:rank]
     V = Vt[:rank].T
 
@@ -181,7 +247,8 @@ def fit_gaussian(z, rank, max_sweeps=500, tol=1e-9, ridge=1e-8):
     for sweeps in range(1, max_sweeps + 1):
         U = _solve_rows(W, Z0, V, ridge)[0]
         V, g = _solve_rows(W.T, Z0.T, U, ridge)
-        new_sse = total_sq - float(np.sum(V * g)) - ridge * float(np.sum(V * V))
+        new_sse = (total_sq - float(np.sum(V.T * g))
+                   - ridge * float(np.sum(V * V)))
         rel = abs(sse - new_sse) / max(sse, new_sse, 1e-300)
         sse = new_sse
         if rel < tol:
@@ -210,23 +277,42 @@ def orthogonalize(U, V):
     return P * s, Q
 
 
+def fit_ranks(method, data, ranks, ties="midpoint", **opts):
+    """Fit a pca or coca model at each rank in `ranks`, from one column
+    transform and one SVD warm start shared by all of them.
+
+    pca standardizes the columns, coca maps them to normal scores under
+    the `ties` convention; each rank is then factorized and canonicalized.
+    Every model equals, bit for bit, the one a separate fit at that rank
+    returns, since each rank's ALS starts from the same SVD. opts go to
+    fit_gaussian.
+    """
+    if method == "pca":
+        z, marginals = standardize(data)
+    elif method == "coca":
+        z, marginals = coca_transform(data, ties=ties)
+    else:
+        raise ValueError("fit_ranks fits pca or coca, not %r" % method)
+    svd = np.linalg.svd(z.zero_filled(), full_matrices=False)
+    models = []
+    for rank in ranks:
+        U, V, sigma, info = fit_gaussian(z, rank, svd=svd, **opts)
+        U, V = orthogonalize(U, V)
+        if method == "coca":
+            info["ties"] = ties
+        models.append(FactorModel(method, U, V, sigma, marginals,
+                                  column_names=data.column_names, info=info))
+    return models
+
+
 def fit_pca(data, rank, **opts):
     """Standardize columns, factorize, canonicalize."""
-    z, stats = standardize(data)
-    U, V, sigma, info = fit_gaussian(z, rank, **opts)
-    U, V = orthogonalize(U, V)
-    return FactorModel("pca", U, V, sigma, stats,
-                       column_names=data.column_names, info=info)
+    return fit_ranks("pca", data, [rank], **opts)[0]
 
 
 def fit_coca(data, rank, ties="midpoint", **opts):
     """Rank-transform columns to normal scores, factorize, canonicalize."""
-    z, edfs = coca_transform(data, ties=ties)
-    U, V, sigma, info = fit_gaussian(z, rank, **opts)
-    U, V = orthogonalize(U, V)
-    info["ties"] = ties
-    return FactorModel("coca", U, V, sigma, edfs,
-                       column_names=data.column_names, info=info)
+    return fit_ranks("coca", data, [rank], ties=ties, **opts)[0]
 
 
 def pca_impute(model):

@@ -10,7 +10,8 @@ import pytest
 from _support import planted
 from gcfactor import cli as gc_cli
 from gcfactor.cli import main
-from gcfactor.data import load_csv, write_csv
+from gcfactor.data import ObservedMatrix, load_csv, split_folds, write_csv
+from gcfactor.gaussian import coca_impute, fit_coca, fit_pca, pca_impute
 from gcfactor.model_io import load_model
 
 
@@ -194,6 +195,33 @@ def test_cv_schema_and_determinism(data_csv, tmp_path):
         assert float(row[2]) > 0.0
 
 
+def test_cv_equals_cold_per_fold_fits(data_csv, tmp_path):
+    # cv shares each fold's transform and SVD across ranks; every pooled
+    # MSE must still equal, to the last digit, the one from a separate
+    # cold fit per fold and rank
+    out = str(tmp_path / "cv.csv")
+    assert main(["cv", "--input", data_csv, "--folds", "3", "--ranks", "1..3",
+                 "--methods", "pca,coca", "--seed", "4",
+                 "--output", out]) == 0
+    data = load_csv(data_csv)
+    folds = split_folds(data, 3, seed=4)
+    fitters = {"pca": (fit_pca, pca_impute), "coca": (fit_coca, coca_impute)}
+    want = []
+    for method, (fit, imp) in fitters.items():
+        for rank in (1, 2, 3):
+            sq_sum, count = 0.0, 0
+            for k in range(3):
+                hold = folds.holdout_mask(k)
+                train = ObservedMatrix(data.values, data.mask & ~hold)
+                scales = np.array([np.std(train.column_observed(j))
+                                   for j in range(train.n)])
+                resid = (imp(fit(train, rank)) - data.values) / scales
+                sq_sum += float(np.sum(resid[hold] ** 2))
+                count += int(hold.sum())
+            want.append([method, str(rank), repr(sq_sum / count)])
+    assert read_rows(out)[1:] == want
+
+
 def test_cv_reports_unconverged_fits_on_stderr(data_csv, tmp_path, capsys,
                                                monkeypatch):
     args = ["cv", "--input", data_csv, "--folds", "3", "--ranks", "1..2",
@@ -203,14 +231,15 @@ def test_cv_reports_unconverged_fits_on_stderr(data_csv, tmp_path, capsys,
     ok = capsys.readouterr()
     assert ok.err == ""
 
-    real_fit_pca = gc_cli.fit_pca
+    real_fit_ranks = gc_cli.fit_ranks
 
-    def stalled_fit_pca(data, rank):
-        model = real_fit_pca(data, rank)
-        model.info["converged"] = False
-        return model
+    def stalled_fit_ranks(method, data, ranks):
+        models = real_fit_ranks(method, data, ranks)
+        for model in models:
+            model.info["converged"] = False
+        return models
 
-    monkeypatch.setattr(gc_cli, "fit_pca", stalled_fit_pca)
+    monkeypatch.setattr(gc_cli, "fit_ranks", stalled_fit_ranks)
     out_stalled = str(tmp_path / "stalled.csv")
     assert main(args + ["--output", out_stalled]) == 0
     stalled = capsys.readouterr()

@@ -5,6 +5,9 @@ from gcfactor.data import ObservedMatrix, mask_random
 from gcfactor.gaussian import (
     FactorModel,
     ZMatrix,
+    _lower_pairs,
+    _solve_packed,
+    _solve_rows,
     coca_impute,
     coca_transform,
     fit_coca,
@@ -195,6 +198,65 @@ def test_fit_gaussian_rank_validation():
         fit_gaussian(z, 0)
     with pytest.raises(ValueError):
         fit_gaussian(z, 4)
+
+
+def _row_rel_err(got, want):
+    # per-row relative error; a zero reference row must come back as zero
+    err = np.linalg.norm(got - want, axis=1)
+    scale = np.linalg.norm(want, axis=1)
+    assert np.all(err[scale == 0] == 0)
+    return float(np.max(err[scale > 0] / scale[scale > 0]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
+def test_solve_packed_matches_dense_solve(k):
+    rng = np.random.default_rng(k)
+    m = 60
+    B = rng.normal(size=(m, k, k + 2))
+    H = B @ B.transpose(0, 2, 1)
+    H[0] = 0.0                          # a ridge-only row
+    shift = rng.uniform(1e-3, 1.0, size=m)
+    shift[0] = 1e-8
+    g = rng.normal(size=(m, k))
+    rows, cols = _lower_pairs(k)
+    x = _solve_packed(H[:, rows, cols].T, g.T, shift)
+    want = np.linalg.solve(H + shift[:, None, None] * np.eye(k),
+                           g[:, :, None])[:, :, 0]
+    assert x.shape == (m, k)
+    assert _row_rel_err(x, want) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
+def test_solve_rows_matches_dense_normal_equations(k):
+    rng = np.random.default_rng(100 + k)
+    m, n, ridge = 50, 200, 1e-8          # n ≫ k: well-conditioned Grams
+    W = (rng.random(size=(m, n)) < 0.7).astype(float)
+    W[3] = 0.0                          # a row with no observed entry
+    Z0 = rng.normal(size=(m, n)) * W
+    basis = rng.normal(size=(n, k))
+    U, g = _solve_rows(W, Z0, basis, ridge)
+    H = np.einsum("ij,jk,jl->ikl", W, basis, basis) + ridge * np.eye(k)
+    want = np.linalg.solve(H, (Z0 @ basis)[:, :, None])[:, :, 0]
+    assert np.array_equal(U[3], np.zeros(k))
+    assert _row_rel_err(U, want) <= 1e-12
+    assert np.allclose(g.T, Z0 @ basis, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("H", [
+    np.array([[-1.0]]),
+    np.zeros((2, 2)),                   # singular: zero pivot
+    np.diag([1.0, -1e-3, 2.0]),         # fails at a later pivot
+    np.array([[1.0, 2.0], [2.0, 1.0]]),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [0.0, np.inf]]),
+])
+def test_solve_packed_rejects_indefinite_systems(H):
+    k = H.shape[0]
+    rows, cols = _lower_pairs(k)
+    good = np.eye(k)
+    batch = np.stack([good, H, good])
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_packed(batch[:, rows, cols].T, np.ones((k, 3)), 0.0)
 
 
 def test_orthogonalize_properties():

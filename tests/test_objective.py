@@ -452,13 +452,18 @@ def reference_workspace(theta, sigma, lower, upper, mask):
     sign = np.where(upper_tail[tail], -1.0, 1.0)
     lp = _ref_log_diff(log_ndtr(-xt), log_ndtr(-yt))
     logp[tail] = lp
-    t1 = sign * np.exp(_ref_log_diff(_ref_log_phi(xt), _ref_log_phi(yt)) - lp)
-    t2 = -np.exp(_ref_log_diff(_ref_log_xkphi(xt, 1), _ref_log_xkphi(yt, 1)) - lp)
-    A[tail] = t1 / sigma
-    D2[tail] = (t1 * t1 + t2) / sigma ** 2
-    T2[tail] = t2
-    T3[tail] = -np.exp(_ref_log_diff(_ref_log_xkphi(xt, 3),
-                                     _ref_log_xkphi(yt, 3)) - lp)
+    # an underflowing entry has lp = -inf: its ratios come out NaN here and
+    # are zeroed below, as the flat kernel does
+    with np.errstate(invalid="ignore"):
+        t1 = sign * np.exp(_ref_log_diff(_ref_log_phi(xt), _ref_log_phi(yt))
+                           - lp)
+        t2 = -np.exp(_ref_log_diff(_ref_log_xkphi(xt, 1),
+                                   _ref_log_xkphi(yt, 1)) - lp)
+        A[tail] = t1 / sigma
+        D2[tail] = (t1 * t1 + t2) / sigma ** 2
+        T2[tail] = t2
+        T3[tail] = -np.exp(_ref_log_diff(_ref_log_xkphi(xt, 3),
+                                         _ref_log_xkphi(yt, 3)) - lp)
     bad = mask & (np.isneginf(logp) | np.isnan(logp))
     logp[bad] = -np.inf
     for arr in (A, D2, T2, T3):
