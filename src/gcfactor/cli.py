@@ -86,19 +86,21 @@ def _cell(text):
     return i, j
 
 
-def _write_rows(path, header, rows):
+def _write_rows(path, header, lines):
+    """Write header through csv.writer, then lines, each already a data
+    line as csv.writer would write it. Fields that are ints or float reprs
+    never need quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
 
 
 def _write_matrix(path, values, column_names):
     values = np.asarray(values, dtype=float)
     if column_names is None:
         column_names = ["c%d" % j for j in range(values.shape[1])]
-    rows = [[repr(float(v)) for v in row] for row in values]
-    _write_rows(path, column_names, rows)
+    _write_rows(path, column_names, (",".join(map(repr, row)) + "\r\n"
+                                     for row in values.tolist()))
 
 
 def cmd_fit(args):
@@ -183,8 +185,9 @@ def cmd_impute(args):
                        scope=scope)
 
     if args.cells:
-        rows = [[i, j, repr(float(estimates[i, j]))] for i, j in targets]
-        _write_rows(args.output, ["row", "col", "estimate"], rows)
+        lines = ["%d,%d,%r\r\n" % (i, j, float(estimates[i, j]))
+                 for i, j in targets]
+        _write_rows(args.output, ["row", "col", "estimate"], lines)
     elif data is not None:
         completed = np.where(data.mask, data.values, estimates)
         _write_matrix(args.output, completed, model.column_names)
@@ -198,12 +201,14 @@ def cmd_impute(args):
         cells = targets
         if cells is None:
             cells = [(i, j) for i in range(m) for j in range(n)]
-        rows = []
+        lines = []
         for i, j in cells:
             dist = entry_distribution(model, i, j)
-            for value, prob in zip(dist.support, dist.probs):
-                rows.append([i, j, repr(float(value)), repr(float(prob))])
-        _write_rows(args.distributions, ["row", "col", "value", "prob"], rows)
+            record = ("%d,%d," % (i, j) + "%r,%r\r\n").__mod__
+            lines.append("".join(map(record, zip(dist.support.tolist(),
+                                                 dist.probs.tolist()))))
+        _write_rows(args.distributions, ["row", "col", "value", "prob"],
+                    lines)
         print("distributions written to %s" % args.distributions)
     return 0
 
@@ -268,16 +273,16 @@ def cmd_cv(args):
             raise ValueError("rank %d exceeds min(m, n) = %d"
                              % (rank, min(data.m, data.n)))
     folds = split_folds(data, args.folds, seed=args.seed)
-    rows = []
+    lines = []
     for method in args.methods:
         mses, notes = _cv_mse(data, folds, method, args.ranks)
         for rank, mse, rank_notes in zip(args.ranks, mses, notes):
             for note in rank_notes:
                 print(note, file=sys.stderr)
-            rows.append([method, rank, repr(mse)])
+            lines.append("%s,%d,%r\r\n" % (method, rank, mse))
             print("%s rank %d: cv mse %.6g" % (method, rank, mse))
-    _write_rows(args.output, ["method", "rank", "mse"], rows)
-    print("wrote %d rows to %s" % (len(rows), args.output))
+    _write_rows(args.output, ["method", "rank", "mse"], lines)
+    print("wrote %d rows to %s" % (len(lines), args.output))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Observed-data container, CSV I/O, scoring, and fold assignment."""
 
 import csv
+import io
 
 import numpy as np
 
@@ -109,17 +110,29 @@ def load_csv(path, na_token="NA"):
     return ObservedMatrix(np.array(rows, dtype=float), column_names=header)
 
 
+def _csv_field(token):
+    """token as csv.writer writes it between other fields of a record."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([token, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def write_csv(matrix, path, na_token="NA"):
-    """Write with full-precision floats so a reload is bit-identical."""
+    """Write with full-precision floats so a reload is bit-identical.
+
+    The bytes are csv.writer's, but each row is one join of float reprs.
+    Observed entries are finite, so "nan" appears in a row only as a whole
+    missing field, which the NA token replaces.
+    """
+    na = _csv_field(na_token)
+    values = np.where(matrix.mask, matrix.values, np.nan)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.column_names)
-        for i in range(matrix.m):
-            row = [
-                repr(float(matrix.values[i, j])) if matrix.mask[i, j] else na_token
-                for j in range(matrix.n)
-            ]
-            writer.writerow(row)
+        csv.writer(fh).writerow(matrix.column_names)
+        for row in values.tolist():
+            line = ",".join(map(repr, row)).replace("nan", na)
+            if row and not line:
+                line = '""'  # csv.writer quotes a record that would be blank
+            fh.write(line + "\r\n")
 
 
 def standardized_mse(estimate, reference, scope, column_scales):

@@ -63,6 +63,8 @@ class FactorModel:
         if column_names is None:
             column_names = ["col%d" % j for j in range(self.V.shape[0])]
         self.column_names = list(column_names)
+        if len(self.column_names) != self.V.shape[0]:
+            raise ValueError("need one name per column")
         self.info = dict(info or {})
 
     @property

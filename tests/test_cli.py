@@ -3,6 +3,8 @@ fit/impute round trips through model files, per-cell distribution output,
 and determinism of simulate and cv under a fixed seed."""
 
 import csv
+import io
+import json
 
 import numpy as np
 import pytest
@@ -11,8 +13,15 @@ from _support import planted
 from gcfactor import cli as gc_cli
 from gcfactor.cli import main
 from gcfactor.data import ObservedMatrix, load_csv, split_folds, write_csv
-from gcfactor.gaussian import coca_impute, fit_coca, fit_pca, pca_impute
-from gcfactor.model_io import load_model
+from gcfactor.gaussian import (
+    FactorModel,
+    coca_impute,
+    fit_coca,
+    fit_pca,
+    pca_impute,
+)
+from gcfactor.impute import entry_distribution, impute
+from gcfactor.model_io import load_model, save_model
 
 
 @pytest.fixture
@@ -252,3 +261,84 @@ def test_cv_reports_unconverged_fits_on_stderr(data_csv, tmp_path, capsys,
         assert line.endswith(" sweeps)")
     assert stalled.out == ok.out.replace(out_ok, out_stalled)
     assert open(out_stalled, "rb").read() == open(out_ok, "rb").read()
+
+
+def csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def file_text(path):
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+def test_csv_outputs_are_csv_writer_bytes(data_csv, tmp_path):
+    # every CSV the CLI writes is byte for byte what csv.writer writes for
+    # the same header and repr'd floats, names that need quoting included
+    data = load_csv(data_csv)
+    coca = fit_coca(data, 2)
+    names = ["a,b", 'q"t', "plain"] + data.column_names[3:]
+    model = FactorModel("xpca", coca.U, coca.V, coca.sigma, coca.marginals,
+                        column_names=names)
+    model_path = str(tmp_path / "model.json")
+    save_model(model, model_path)
+    est = impute(model)
+    p = {name: str(tmp_path / name) for name in (
+        "all.csv", "filled.csv", "cells.csv", "dist.csv", "cv.csv")}
+    cells = [(0, 1), (4, 3), (29, 7)]
+    cell_args = [arg for i, j in cells
+                 for arg in ("--cells", "%d,%d" % (i, j))]
+
+    assert main(["impute", "--model", model_path,
+                 "--output", p["all.csv"]]) == 0
+    assert main(["impute", "--model", model_path, "--input", data_csv,
+                 "--output", p["filled.csv"]]) == 0
+    assert main(["impute", "--model", model_path, "--output", p["cells.csv"],
+                 "--distributions", p["dist.csv"]] + cell_args) == 0
+    assert main(["cv", "--input", data_csv, "--folds", "3", "--ranks", "1..2",
+                 "--methods", "pca", "--output", p["cv.csv"]]) == 0
+
+    def matrix_rows(values):
+        return [[repr(float(v)) for v in row] for row in values]
+
+    filled = np.where(data.mask, data.values, est)
+    dist_rows = []
+    for i, j in cells:
+        dist = entry_distribution(model, i, j)
+        dist_rows += [[i, j, repr(float(v)), repr(float(q))]
+                      for v, q in zip(dist.support, dist.probs)]
+    cv_rows = [[r[0], int(r[1]), repr(float(r[2]))]
+               for r in read_rows(p["cv.csv"])[1:]]
+    want = {
+        "all.csv": csv_writer_text(names, matrix_rows(est)),
+        "filled.csv": csv_writer_text(names, matrix_rows(filled)),
+        "cells.csv": csv_writer_text(["row", "col", "estimate"],
+                                     [[i, j, repr(float(est[i, j]))]
+                                      for i, j in cells]),
+        "dist.csv": csv_writer_text(["row", "col", "value", "prob"],
+                                    dist_rows),
+        "cv.csv": csv_writer_text(["method", "rank", "mse"], cv_rows),
+    }
+    for name, text in want.items():
+        assert file_text(p[name]) == text, name
+    assert len(cv_rows) == 2
+
+
+def test_impute_rejects_model_with_wrong_name_count(data_csv, tmp_path,
+                                                    capsys):
+    model = tmp_path / "model.json"
+    out = tmp_path / "out.csv"
+    assert main(["fit", "--method", "pca", "--rank", "2",
+                 "--input", data_csv, "--output", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    payload["column_names"] = payload["column_names"][:2]
+    model.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["impute", "--model", str(model), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "one name per column" in err
+    assert not out.exists()

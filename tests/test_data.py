@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,35 @@ def test_mask_random_fraction_and_reproducibility():
         mask_random(om, 0.0, seed=1)
     with pytest.raises(ValueError):
         mask_random(om, 1.0, seed=1)
+
+
+def csv_writer_reference(matrix, path, na_token):
+    # write_csv's csv.writer loop, kept as the byte reference
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(matrix.column_names)
+        for i in range(matrix.m):
+            writer.writerow([
+                repr(float(matrix.values[i, j])) if matrix.mask[i, j]
+                else na_token
+                for j in range(matrix.n)
+            ])
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(9, 3)) * 10.0 ** rng.integers(-300, 300, (9, 3))
+    vals[0] = [-0.0, 5e-324, 1e308]
+    vals[rng.random(size=vals.shape) < 0.3] = np.nan
+    vals[1:3, :] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    vals[3, :] = np.nan
+    matrices = [
+        ObservedMatrix(vals, column_names=["a,b", 'q"t', "c"]),
+        ObservedMatrix(vals[:, :1], column_names=[""]),
+    ]
+    for matrix in matrices:
+        for na in ("NA", "", "N,A", 'x"y', "nan", " "):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_csv(matrix, got, na_token=na)
+            csv_writer_reference(matrix, want, na)
+            assert got.read_bytes() == want.read_bytes(), (matrix.n, na)
