@@ -124,9 +124,11 @@ def cmd_fit(args):
     print("fitted %s: %dx%d rank %d" % (model.method, data.m, data.n, args.rank))
     if model.method == "xpca":
         print("nll=%r sigma=%r" % (info.get("nll"), model.sigma))
-        print("optimizer=%s sweeps=%d evals=%d converged=%s"
+        print("optimizer=%s sweeps=%d evals=%d hessp=%d converged=%s "
+              "stop_reason=%s"
               % (info.get("optimizer"), info.get("sweeps", 0),
-                 info.get("evals", 0), info.get("converged")))
+                 info.get("evals", 0), info.get("hessp", 0),
+                 info.get("converged"), info.get("stop_reason")))
     else:
         print("sse=%r sigma=%r" % (info.get("sse"), model.sigma))
         print("sweeps=%d converged=%s"
@@ -300,8 +302,8 @@ def build_parser():
     p_fit.add_argument("--na", default="NA", help="missing-value token")
     p_fit.add_argument("--ties", choices=("midpoint", "max"),
                        help="tie convention for coca")
-    p_fit.add_argument("--optimizer", choices=("lbfgs", "bcd"),
-                       help="xpca optimization strategy")
+    p_fit.add_argument("--optimizer", choices=("newton", "lbfgs", "bcd"),
+                       help="xpca optimizer (default newton)")
     p_fit.add_argument("--max-iterations", type=_positive_int,
                        help="xpca iteration budget")
     p_fit.add_argument("--seed", type=int, help="xpca fit seed")

@@ -1,6 +1,6 @@
-"""Interval-likelihood fitting: coordinate descent with damped Newton blocks,
-a quasi-Newton path over the flattened parameters, and the driver that warms
-both from the rank-transform fit.
+"""Interval-likelihood fitting: a trust-region Newton path, a quasi-Newton
+path and coordinate descent with damped Newton blocks over the factors, and
+the driver that warms them from the rank-transform fit.
 
 The objective is the censored negative log-likelihood from objective.py plus
 the nuclear-norm penalty ridge * ||U Vᵀ||_*, minimized over (U, V, sigma)
@@ -13,6 +13,22 @@ whose labels are separable by the scores); ridge=0 fits the exact
 likelihood. Convergence is declared on the max-norm of the full objective
 gradient, measured in (U, V, log sigma) coordinates, falling below
 GRAD_TOL * (1 + |NLL|) with NLL the likelihood term alone.
+
+Three optimizers refine the warm start:
+
+- "newton" (the default): trust-region Newton over (U, V, log sigma) on the
+  smooth factor-ridge form of the objective, NLL + (ridge / 2)(||U||² +
+  ||V||²), which has the same minimizers and optimal value, with exact
+  Hessian-vector products (objective.factor_hessian);
+- "lbfgs": limited-memory quasi-Newton on the nuclear-norm form;
+- "bcd": coordinate descent, damped Newton per factor row, then sigma.
+
+When "newton" or "lbfgs" ends short of the gradient test (budget spent,
+trust region collapsed, line search failed, relative-reduction stop),
+coordinate descent finishes the fit and info["optimizer"] reads
+"newton+bcd" or "lbfgs+bcd". info["stop_reason"] says how the last stage
+ended: "gradient tolerance", "budget", "plateau", "line search failed" or
+"trust region collapsed".
 """
 
 import math
@@ -35,6 +51,7 @@ from .objective import (
     batched_row_hessians,
     build_bounds,
     compute_workspace,
+    factor_hessian,
     grad_factors,
     grad_sigma,
     hess_sigma,
@@ -53,13 +70,20 @@ _HALVINGS_PER_ATTEMPT = 10
 class FitOptions:
     """Knobs for the interval-likelihood fit.
 
-    max_iterations bounds BCD sweeps or quasi-Newton objective evaluations,
-    whichever optimizer runs; None picks 500 sweeps / 2000 evaluations.
-    ridge weighs the nuclear-norm penalty; 0 fits the exact likelihood.
+    optimizer picks the path: "newton" (trust-region Newton, the default),
+    "lbfgs" (quasi-Newton) or "bcd" (coordinate descent alone); the first
+    two fall back to coordinate descent, for up to 500 sweeps, when they
+    stop short of the gradient test. max_iterations bounds the trust-region
+    iterations (one kernel call each), the quasi-Newton objective
+    evaluations or the BCD sweeps, whichever path runs first; None picks
+    2000 iterations or evaluations, or 500 sweeps. tol_rel_nll is the
+    relative-reduction stop of L-BFGS and BCD, lbfgs_memory the L-BFGS
+    history length. ridge weighs the nuclear-norm penalty; 0 fits the
+    exact likelihood.
     """
 
     rank: int = 1
-    optimizer: str = "lbfgs"
+    optimizer: str = "newton"
     max_iterations: int = None
     tol_rel_nll: float = 1e-8
     sigma_floor: float = 1e-4
@@ -71,8 +95,8 @@ class FitOptions:
         if int(self.rank) != self.rank or self.rank < 1:
             raise ValueError("rank must be a positive integer")
         self.rank = int(self.rank)
-        if self.optimizer not in ("lbfgs", "bcd"):
-            raise ValueError("optimizer must be 'lbfgs' or 'bcd'")
+        if self.optimizer not in ("newton", "lbfgs", "bcd"):
+            raise ValueError("optimizer must be 'newton', 'lbfgs' or 'bcd'")
         if not self.tol_rel_nll > 0:
             raise ValueError("tol_rel_nll must be positive")
         if not 0 < self.sigma_floor < 1:
@@ -109,7 +133,10 @@ class FitState:
 
     nll holds the minimized objective, the negative log-likelihood plus
     penalty (the bare likelihood term at ridge 0); penalty holds the
-    penalty part, both at the current factors once evaluated.
+    penalty part, both at the current factors once evaluated. evals counts
+    derivative kernel calls of the Newton and quasi-Newton paths, hessp
+    the Hessian-vector products, and stop_reason says how the last path
+    ended.
     """
 
     def __init__(self, U, V, sigma, bounds, ridge=DEFAULT_RIDGE):
@@ -123,9 +150,10 @@ class FitState:
         self.trace = []
         self.sweeps = 0
         self.evals = 0
+        self.hessp = 0
+        self.stop_reason = None
         self.converged = False
         self.plateau = False
-        self.lbfgs_failed = False
         self.skipped_blocks = 0
         self.notes = []
 
@@ -143,18 +171,27 @@ class FitState:
         return self.nll
 
 
+def _gradient_test(U, V, ridge, gU, gV, gs):
+    """Max-norm of the full objective gradient in (U, V, log sigma)
+    coordinates, from the likelihood's gradients gU, gV and gs = d NLL /
+    d log sigma, and the nuclear penalty at U, V."""
+    penalty = 0.0
+    if ridge:
+        penalty, pU, pV = nuclear_penalty(U, V, ridge)
+        gU, gV = gU + pU, gV + pV
+    return max(float(np.max(np.abs(gU))), float(np.max(np.abs(gV))),
+               abs(gs)), penalty
+
+
 def gradient_maxnorm(state):
     """Max-norm of the full objective gradient in (U, V, log sigma)
     coordinates."""
     ws = compute_workspace(state.observed_theta(), state.sigma, state.bounds)
     gU, gV = grad_factors(state.U, state.V, state.sigma, state.bounds,
                           workspace=ws)
-    if state.ridge:
-        _, pU, pV = nuclear_penalty(state.U, state.V, state.ridge)
-        gU, gV = gU + pU, gV + pV
     gs = grad_sigma(None, state.sigma, state.bounds, workspace=ws)
-    return max(float(np.max(np.abs(gU))), float(np.max(np.abs(gV))),
-               abs(gs * state.sigma))
+    return _gradient_test(state.U, state.V, state.ridge, gU, gV,
+                          gs * state.sigma)[0]
 
 
 def _gradient_converged(state):
@@ -307,19 +344,21 @@ def bcd_sweep(state, opts):
 
 
 def _run_bcd(state, opts, budget):
+    state.stop_reason = "budget"
     for _ in range(budget):
         prev = state.nll
         bcd_sweep(state, opts)
         if _gradient_converged(state):
             state.converged = True
             break
-        if state.plateau:
-            break
         rel = (prev - state.nll) / max(abs(prev), abs(state.nll), 1.0)
-        if rel < opts.tol_rel_nll:
+        if state.plateau or rel < opts.tol_rel_nll:
+            state.stop_reason = "plateau"
             break
     if not state.converged:
         state.converged = _gradient_converged(state)
+    if state.converged:
+        state.stop_reason = "gradient tolerance"
     return state
 
 
@@ -328,8 +367,8 @@ def lbfgs_fit(state, opts):
 
     Underflowing trial points are fed back as a huge finite loss with a zero
     gradient so the line search retreats. If the line search fails outright
-    the best evaluated point is restored and lbfgs_failed set; the caller is
-    expected to fall back to coordinate descent.
+    the best evaluated point is restored and stop_reason reads "line search
+    failed"; the caller is expected to fall back to coordinate descent.
     """
     m, k = state.U.shape
     n = state.V.shape[0]
@@ -392,10 +431,127 @@ def lbfgs_fit(state, opts):
     state.nll = f
     state.penalty = nuclear_penalty(state.U, state.V, ridge)[0]
     state.evals += counter["evals"]
-    state.lbfgs_failed = res.status == 2
-    if state.lbfgs_failed:
-        state.notes.append("line search failed: %s" % str(res.message))
     state.converged = _gradient_converged(state)
+    if res.status == 2:
+        state.notes.append("line search failed: %s" % str(res.message))
+        state.stop_reason = "line search failed"
+    elif state.converged:
+        state.stop_reason = "gradient tolerance"
+    else:
+        state.stop_reason = "budget" if res.status == 1 else "plateau"
+    return state
+
+
+def newton_fit(state, opts):
+    """Trust-region Newton pass over (U, V, log sigma).
+
+    Minimizes NLL(U Vᵀ, sigma) + (ridge / 2)(||U||² + ||V||²), starting
+    from the balanced split of the current factors, where it equals the
+    nuclear-norm objective, with the exact gradient and Hessian-vector
+    products (objective.factor_hessian) in scipy's truncated-CG trust
+    region (trust-ncg). The objective is scaled by 1 / (1 + |f0|), f0 its
+    starting value, so that the CG forcing term, which scipy takes from the
+    gradient norm, is relative to the objective's size. A trial point
+    whose likelihood underflows, or whose sigma lies below the floor, has
+    an infinite objective: the step is rejected and the region shrinks.
+    Every accepted point is put to _gradient_converged's test, from its own
+    workspace, and the pass stops when the test holds, after
+    iteration_budget() iterations (one kernel call each), or when the
+    trust region collapses (no predicted decrease left).
+    """
+    _rebalance(state)
+    m, k = state.U.shape
+    n = state.V.shape[0]
+    bounds, ridge = state.bounds, state.ridge
+    floor_log = math.log(opts.sigma_floor)
+
+    def split(x):
+        return x[:m * k].reshape(m, k), x[m * k:-1].reshape(n, k), x[-1]
+
+    last = here = None
+
+    def evaluate(x):
+        # objective, gradient and workspace at x; scipy asks for the
+        # objective and the gradient at a point in turn, so the last point
+        # is kept
+        nonlocal last
+        if last is not None and np.array_equal(x, last["x"]):
+            return last
+        U, V, s = split(x)
+        last = {"x": x.copy(), "f": math.inf, "g": np.zeros_like(x),
+                "ws": None}
+        if s >= floor_log:
+            ws = compute_workspace(bounds.observed_theta(U, V), math.exp(s),
+                                   bounds, on_underflow="inf")
+            state.evals += 1
+            if np.isfinite(ws.nll()):
+                gU, gV = grad_factors(U, V, ws.sigma, bounds, workspace=ws)
+                gs = float(np.sum(ws.T2))
+                last.update(
+                    f=ws.nll() + 0.5 * ridge * (np.sum(U * U)
+                                                + np.sum(V * V)),
+                    g=np.concatenate([(gU + ridge * U).ravel(),
+                                      (gV + ridge * V).ravel(), [gs]]),
+                    ws=ws, grads=(gU, gV, gs))
+        return last
+
+    def accept(x):
+        # move to x, an evaluated point, and put it to _gradient_converged's
+        # test from its workspace; returns the nuclear-norm objective there
+        nonlocal here
+        here = evaluate(x)
+        U, V, _ = split(x)
+        norm, penalty = _gradient_test(U, V, ridge, *here["grads"])
+        nll = here["ws"].nll()
+        state.converged = norm < GRAD_TOL * (1.0 + abs(nll))
+        return nll + penalty
+
+    # a sigma at the floor can round to just below it in log space
+    x0 = np.concatenate([state.U.ravel(), state.V.ravel(),
+                         [max(math.log(state.sigma), floor_log)]])
+    start = evaluate(x0)
+    if start["ws"] is None:
+        raise ValueError("the likelihood underflows at the starting point")
+    scale = 1.0 / (1.0 + abs(start["f"]))
+    accept(x0)
+
+    def fun(x):
+        rec = evaluate(x)
+        return rec["f"] * scale, rec["g"] * scale
+
+    def hessp(x, p):
+        # scipy builds each step at its current point, x0 or the point the
+        # callback below accepted after the last step
+        if "product" not in here:
+            U, V, _ = split(here["x"])
+            here["product"] = factor_hessian(U, V, here["ws"], ridge)
+        state.hessp += 1
+        hU, hV, hs = here["product"](*split(p))
+        return np.concatenate([hU.ravel(), hV.ravel(), [hs]]) * scale
+
+    def callback(intermediate_result):
+        # runs after every iteration; a new x means the step was taken
+        if not np.array_equal(intermediate_result.x, here["x"]):
+            state.trace.append(accept(intermediate_result.x))
+            if state.converged:
+                raise StopIteration
+
+    status = 0
+    if not state.converged:
+        status = scipy.optimize.minimize(
+            fun, x0, jac=True, hessp=hessp, method="trust-ncg",
+            callback=callback,
+            options=dict(maxiter=opts.iteration_budget(), gtol=0.0)).status
+    U, V, s = split(here["x"])
+    state.U, state.V, state.sigma = U.copy(), V.copy(), math.exp(s)
+    state.penalty = nuclear_penalty(state.U, state.V, ridge)[0]
+    state.nll = here["ws"].nll() + state.penalty
+    if state.converged:
+        state.stop_reason = "gradient tolerance"
+    elif status == 1:
+        state.stop_reason = "budget"
+    else:
+        state.stop_reason = "trust region collapsed"
     return state
 
 
@@ -424,8 +580,8 @@ def fit_xpca(data, options=None, **kw):
 
     Accepts a FitOptions or keyword arguments for one. The rank-transform
     fit seeds the factors; the chosen optimizer refines them, with
-    coordinate descent finishing the job whenever the quasi-Newton pass
-    fails its line search or stops short of the gradient tolerance. Factors
+    coordinate descent finishing the job whenever the Newton or
+    quasi-Newton pass stops short of the gradient tolerance. Factors
     are orthogonalized at the end, which leaves theta and the objective
     unchanged. info["nll"] is the likelihood term and info["penalty"] the
     penalty at the fit; info["trace"] follows their sum.
@@ -440,15 +596,15 @@ def fit_xpca(data, options=None, **kw):
     state.trace.append(state.nll)
 
     path = [opts.optimizer]
-    if opts.optimizer == "lbfgs":
-        lbfgs_fit(state, opts)
-        if state.lbfgs_failed or not state.converged:
+    if opts.optimizer == "bcd":
+        _run_bcd(state, opts, opts.iteration_budget())
+    else:
+        (newton_fit if opts.optimizer == "newton" else lbfgs_fit)(state, opts)
+        if state.stop_reason != "gradient tolerance":
             path.append("bcd")
             state.converged = False
             state.plateau = False
             _run_bcd(state, opts, 500)
-    else:
-        _run_bcd(state, opts, opts.iteration_budget())
 
     nll_before = state.nll - state.penalty
     theta_before = state.observed_theta()
@@ -467,7 +623,9 @@ def fit_xpca(data, options=None, **kw):
         "nll": nll_after,
         "sweeps": state.sweeps,
         "evals": state.evals,
+        "hessp": state.hessp,
         "converged": bool(state.converged),
+        "stop_reason": state.stop_reason,
         "grad_maxnorm": gradient_maxnorm(state),
         "skipped_blocks": state.skipped_blocks,
         "trace": [float(t) for t in state.trace],

@@ -88,7 +88,11 @@ def _unpack(text, field, dtype, shape):
 
 def _from_list(value, field, dtype, shape):
     """Version 1: a nested JSON number list; callers check the shape."""
-    return np.array(value, dtype=dtype)
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("model field %s is not a number list (%s)"
+                         % (field, exc))
 
 
 def _marginals_payload(model):
@@ -131,6 +135,20 @@ def _require(payload, key):
     return payload[key]
 
 
+def _typed(value, field, types, what):
+    """value, if it is of one of types; else a ValueError naming the field.
+    JSON true and false are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError("model field %s must be %s, not %s"
+                         % (field, what, json.dumps(value)[:40]))
+    return value
+
+
+def _number(payload, key, kind):
+    return kind(_typed(_require(payload, key), key, (int, float),
+                       "a number"))
+
+
 def load_model(path):
     """Read a model file written by save_model, format version 1 or 2."""
     with open(path) as fh:
@@ -149,13 +167,14 @@ def load_model(path):
         raise ValueError("unsupported model file version %r" % version)
 
     method = _require(payload, "method")
-    m, n, rank = (int(_require(payload, k)) for k in ("m", "n", "rank"))
+    m, n, rank = (_number(payload, k, int) for k in ("m", "n", "rank"))
     U = decode(_require(payload, "U"), "U", np.float64, (m, rank))
     V = decode(_require(payload, "V"), "V", np.float64, (n, rank))
     if U.shape != (m, rank) or V.shape != (n, rank):
         raise ValueError("factor shapes disagree with the declared dimensions")
 
-    marg = _require(payload, "marginals")
+    marg = _typed(_require(payload, "marginals"), "marginals", dict,
+                  "an object")
     kind = marg.get("kind")
     if kind == "stats":
         stats = decode(_require(marg, "stats"), "marginals.stats",
@@ -163,25 +182,34 @@ def load_model(path):
         marginals = [(mu, sd) for mu, sd in stats.tolist()]
     elif kind == "edf":
         marginals = []
-        for j, table in enumerate(_require(marg, "tables")):
-            field = "marginals.tables[%d]." % j
-            counts = decode(_require(table, "counts"), field + "counts",
+        tables = _typed(_require(marg, "tables"), "marginals.tables", list,
+                        "a list")
+        for j, table in enumerate(tables):
+            field = "marginals.tables[%d]" % j
+            _typed(table, field, dict, "an object")
+            counts = decode(_require(table, "counts"), field + ".counts",
                             np.int64, None)
-            distinct = decode(_require(table, "distinct"), field + "distinct",
-                              np.float64, counts.shape)
+            distinct = decode(_require(table, "distinct"),
+                              field + ".distinct", np.float64, counts.shape)
             marginals.append(Edf(distinct, counts))
     else:
         raise ValueError("unknown marginal payload kind %r" % kind)
     if len(marginals) != n:
         raise ValueError("marginal count disagrees with the declared width")
 
+    epsilon, info = payload.get("epsilon"), payload.get("info")
+    if epsilon is not None:
+        epsilon = _number(payload, "epsilon", float)
+    if info is not None:
+        _typed(info, "info", dict, "an object")
     return FactorModel(
         method,
         U,
         V,
-        float(_require(payload, "sigma")),
+        _number(payload, "sigma", float),
         marginals,
-        epsilon=payload.get("epsilon"),
-        column_names=_require(payload, "column_names"),
-        info=payload.get("info"),
+        epsilon=epsilon,
+        column_names=_typed(_require(payload, "column_names"),
+                            "column_names", list, "a list"),
+        info=info,
     )

@@ -6,17 +6,22 @@ The kernel runs over flat length-nnz arrays of the observed entries, and
 gradients and row Hessians are sparse products against the factors, so
 memory is O(nnz * k) rather than O(m * n).
 
-Everything reduces to three ratios per entry, with x = (l-theta)/s,
+Everything reduces to four ratios per entry, with x = (l-theta)/s,
 y = (r-theta)/s, p = Phi(y) - Phi(x):
 
-    t1 = (phi(y) - phi(x)) / p
-    t2 = (y phi(y) - x phi(x)) / p
-    t3 = (y^3 phi(y) - x^3 phi(x)) / p
+    t1   = (phi(y) - phi(x)) / p
+    t2   = (y phi(y) - x phi(x)) / p
+    t_sq = (y^2 phi(y) - x^2 phi(x)) / p
+    t3   = (y^3 phi(y) - x^3 phi(x)) / p
 
     d(entry loss)/dtheta      = t1 / sigma
     d2(entry loss)/dtheta2    = (t1^2 + t2) / sigma^2
     d(total loss)/dsigma      = sum t2 / sigma
     d2(total loss)/dsigma2    = sum (t2^2 + t3 - 2 t2) / sigma^2
+
+and, in s = log sigma, d2(entry loss)/dtheta ds = (t_sq + t1 t2 - t1) / sigma
+and d2(entry loss)/ds2 = t2^2 + t3 - t2, the pieces of factor_hessian's
+Hessian-vector products.
 
 When both endpoints sit in the same tail the direct CDF difference cancels
 catastrophically, so p and every ratio are evaluated in log space there.
@@ -119,17 +124,19 @@ class DerivativeWorkspace:
 
     Arrays are flat over the observed entries, in the order of bounds:
     logp (log interval probability), A (d loss / d theta), D2 (d2 loss /
-    d theta2), T2/T3 (scale-derivative ratios). A value-only workspace
-    carries logp alone and None for the rest.
+    d theta2), T2/Tsq/T3 (the ratios t2, t_sq and t3 of the scale
+    derivatives). A value-only workspace carries logp alone and None for
+    the rest.
     """
 
-    __slots__ = ("logp", "A", "D2", "T2", "T3", "sigma", "bounds")
+    __slots__ = ("logp", "A", "D2", "T2", "Tsq", "T3", "sigma", "bounds")
 
-    def __init__(self, logp, A, D2, T2, T3, sigma, bounds):
+    def __init__(self, logp, A, D2, T2, Tsq, T3, sigma, bounds):
         self.logp = logp
         self.A = A
         self.D2 = D2
         self.T2 = T2
+        self.Tsq = Tsq
         self.T3 = T3
         self.sigma = sigma
         self.bounds = bounds
@@ -164,13 +171,13 @@ def _log_xkphi(x, k):
 
 
 def _density_moments(x):
-    # phi(x), x phi(x) and x^3 phi(x) from one exp. Past |x| = 40 the
-    # density is a hard zero, so clipping there gives the limit 0 at
-    # infinite endpoints and dodges inf * 0.
+    # phi(x), x phi(x), x^2 phi(x) and x^3 phi(x) from one exp. Past
+    # |x| = 40 the density is a hard zero, so clipping there gives the
+    # limit 0 at infinite endpoints and dodges inf * 0.
     xc = np.clip(x, -40.0, 40.0)
     phi = np.exp(-0.5 * xc * xc - _LOG_SQRT_2PI)
     xphi = xc * phi
-    return phi, xphi, xc * xc * xphi
+    return phi, xphi, xc * xphi, xc * xc * xphi
 
 
 def compute_workspace(theta, sigma, bounds, derivs=True, on_underflow="raise"):
@@ -207,6 +214,7 @@ def compute_workspace(theta, sigma, bounds, derivs=True, on_underflow="raise"):
     if derivs:
         t1 = np.empty(bounds.nnz)
         T2 = np.empty(bounds.nnz)
+        Tsq = np.empty(bounds.nnz)
         T3 = np.empty(bounds.nnz)
 
     if np.any(body):
@@ -216,10 +224,11 @@ def compute_workspace(theta, sigma, bounds, derivs=True, on_underflow="raise"):
             logp[body] = np.log(p)
         if derivs:
             pd = np.where(p > 0, p, 1.0)
-            px, xpx, x3px = _density_moments(xb)
-            py, ypy, y3py = _density_moments(yb)
+            px, xpx, x2px, x3px = _density_moments(xb)
+            py, ypy, y2py, y3py = _density_moments(yb)
             t1[body] = (py - px) / pd
             T2[body] = (ypy - xpx) / pd
+            Tsq[body] = (y2py - x2px) / pd
             T3[body] = (y3py - x3px) / pd
 
     if np.any(tail):
@@ -228,10 +237,14 @@ def compute_workspace(theta, sigma, bounds, derivs=True, on_underflow="raise"):
         if derivs:
             sign = np.where(upper_tail, -1.0, 1.0)
             # a rejected entry (lp = -inf) gives -inf - -inf = nan here; it
-            # is zeroed with the other bad entries below
+            # is zeroed with the other bad entries below. phi and x^2 phi
+            # are even, so t1 and t_sq flip sign with the reflection, while
+            # the odd x phi and x^3 phi leave t2 and t3 negative in both.
             with np.errstate(invalid="ignore"):
                 t1[tail] = sign * np.exp(_log_diff(_log_phi(xt), _log_phi(yt)) - lp)
                 T2[tail] = -np.exp(_log_diff(_log_xkphi(xt, 1), _log_xkphi(yt, 1)) - lp)
+                Tsq[tail] = sign * np.exp(_log_diff(_log_xkphi(xt, 2),
+                                                    _log_xkphi(yt, 2)) - lp)
                 T3[tail] = -np.exp(_log_diff(_log_xkphi(xt, 3), _log_xkphi(yt, 3)) - lp)
 
     bad = np.isneginf(logp) | np.isnan(logp)
@@ -243,14 +256,15 @@ def compute_workspace(theta, sigma, bounds, derivs=True, on_underflow="raise"):
                 % (bounds.rows[e], bounds.cols[e]))
         logp[bad] = -np.inf
         if derivs:
-            for arr in (t1, T2, T3):
+            for arr in (t1, T2, Tsq, T3):
                 arr[bad] = 0.0
 
     if not derivs:
-        return DerivativeWorkspace(logp, None, None, None, None, sigma, bounds)
+        return DerivativeWorkspace(logp, None, None, None, None, None, sigma,
+                                   bounds)
     A = t1 / sigma
     D2 = (t1 * t1 + T2) / sigma ** 2
-    return DerivativeWorkspace(logp, A, D2, T2, T3, sigma, bounds)
+    return DerivativeWorkspace(logp, A, D2, T2, Tsq, T3, sigma, bounds)
 
 
 def nll(theta, sigma, bounds):
@@ -294,6 +308,54 @@ def grad_factors(U, V, sigma, bounds, workspace=None):
                                         bounds)
     A = bounds.sparse(ws.A)
     return A @ V, A.T @ U
+
+
+def factor_hessian(U, V, workspace, ridge=0.0):
+    """Hessian-vector products of NLL(U Vᵀ, e^s) + (ridge / 2)(||U||² +
+    ||V||²) in (U, V, s = log sigma), at the point workspace was computed.
+
+    Returns product(dU, dV, ds) -> (hU, hV, hs). With dtheta = dU Vᵀ +
+    U dVᵀ at the observed entries, S = D2 ∘ dtheta + C ds and C the mixed
+    derivative (t_sq + t1 t2 - t1) / sigma, the product is
+
+        hU = S V + A dV + ridge dU
+        hV = Sᵀ U + Aᵀ dU + ridge dV
+        hs = sum C dtheta + ds sum (t2² + t3 - t2)
+
+    S V is evaluated row by row without gathering dtheta: its i-th row is
+    H_i dU_i + (sum_j D2_ij V_j dV_jᵀ) U_i + ds (C V)_i, with H_i the row
+    Hessian of batched_row_hessians, and likewise for Sᵀ U. The row
+    Hessians (ridge on their diagonals), C V, Cᵀ U and the sum are built
+    here, once per point; each product is then two sparse products against
+    k²-column tables of outer products and two against dV and dU,
+    O(nnz k²).
+    """
+    ws = workspace
+    b = ws.bounds
+    k = U.shape[1]
+    t1 = ws.A * ws.sigma
+    C = b.sparse((ws.Tsq + t1 * ws.T2 - t1) / ws.sigma)
+    CV, CU = C @ V, C.T @ U
+    css = float(np.sum(ws.T2 * ws.T2 + ws.T3 - ws.T2))
+    A, D2 = b.sparse(ws.A), b.sparse(ws.D2)
+    HU = batched_row_hessians(V, ws, 0)
+    HV = batched_row_hessians(U, ws, 1)
+    HU[:, np.arange(k), np.arange(k)] += ridge
+    HV[:, np.arange(k), np.arange(k)] += ridge
+
+    def product(dU, dV, ds):
+        P = D2 @ (V[:, :, None] * dV[:, None, :]).reshape(-1, k * k)
+        Q = D2.T @ (U[:, :, None] * dU[:, None, :]).reshape(-1, k * k)
+        hU = (np.einsum("ikl,il->ik", HU, dU)
+              + np.einsum("ikl,il->ik", P.reshape(-1, k, k), U)
+              + A @ dV + ds * CV)
+        hV = (np.einsum("jkl,jl->jk", HV, dV)
+              + np.einsum("jkl,jl->jk", Q.reshape(-1, k, k), V)
+              + A.T @ dU + ds * CU)
+        hs = float(np.sum(dU * CV) + np.sum(dV * CU)) + css * ds
+        return hU, hV, hs
+
+    return product
 
 
 def batched_row_hessians(basis, workspace, axis):

@@ -1,8 +1,11 @@
-"""Shared test helpers: planted low-rank data with per-column marginals."""
+"""Shared test helpers: planted low-rank data with per-column marginals,
+and the random evaluation points of the derivative checks."""
 
 import numpy as np
 
 from gcfactor.data import ObservedMatrix
+from gcfactor.marginals import fit_edf, global_epsilon
+from gcfactor.objective import build_bounds
 
 
 def planted(m, n, k, sigma, seed, missing=0.0, kinds="mixed"):
@@ -46,3 +49,27 @@ def planted(m, n, k, sigma, seed, missing=0.0, kinds="mixed"):
         except ValueError:
             continue
     raise RuntimeError("could not draw a valid planted matrix")
+
+
+def binary_continuous_instance(seed, m=20, n=15, rank=3, missing=0.3):
+    """Random evaluation point on data alternating binary and continuous
+    columns; redraws when masking degenerates a column."""
+    rng = np.random.default_rng(seed)
+    while True:
+        z = rng.normal(size=(m, rank)) @ rng.normal(size=(n, rank)).T / np.sqrt(rank)
+        z += 0.5 * rng.normal(size=(m, n))
+        x = z.copy()
+        for j in range(0, n, 2):
+            x[:, j] = (z[:, j] > 0).astype(float)
+        x = np.where(rng.random(size=(m, n)) < missing, np.nan, x)
+        try:
+            data = ObservedMatrix(x)
+            break
+        except ValueError:
+            continue
+    edfs = [fit_edf(data.column_observed(j)) for j in range(n)]
+    bounds = build_bounds(data, edfs, global_epsilon(edfs))
+    U = rng.normal(scale=0.7, size=(m, rank))
+    V = rng.normal(scale=0.7, size=(n, rank))
+    sigma = float(rng.uniform(0.4, 1.2))
+    return bounds, U, V, sigma

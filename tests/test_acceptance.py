@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _support import planted
+from _support import binary_continuous_instance, planted
 from gcfactor.data import ObservedMatrix, mask_random
 from gcfactor.fit import FitOptions, FitState, bcd_sweep, fit_xpca, gradient_maxnorm
 from gcfactor.gaussian import FactorModel, coca_impute, fit_coca, fit_pca
@@ -34,30 +34,6 @@ def rel_err(got, want, floor):
     got, want = np.asarray(got, float), np.asarray(want, float)
     scale = np.maximum(np.maximum(np.abs(got), np.abs(want)), floor)
     return float(np.max(np.abs(got - want) / scale))
-
-
-def binary_continuous_instance(seed, m=20, n=15, rank=3, missing=0.3):
-    """Random evaluation point on data alternating binary and continuous
-    columns; redraws when masking degenerates a column."""
-    rng = np.random.default_rng(seed)
-    while True:
-        z = rng.normal(size=(m, rank)) @ rng.normal(size=(n, rank)).T / np.sqrt(rank)
-        z += 0.5 * rng.normal(size=(m, n))
-        x = z.copy()
-        for j in range(0, n, 2):
-            x[:, j] = (z[:, j] > 0).astype(float)
-        x = np.where(rng.random(size=(m, n)) < missing, np.nan, x)
-        try:
-            data = ObservedMatrix(x)
-            break
-        except ValueError:
-            continue
-    edfs = [fit_edf(data.column_observed(j)) for j in range(n)]
-    bounds = build_bounds(data, edfs, global_epsilon(edfs))
-    U = rng.normal(scale=0.7, size=(m, rank))
-    V = rng.normal(scale=0.7, size=(n, rank))
-    sigma = float(rng.uniform(0.4, 1.2))
-    return bounds, U, V, sigma
 
 
 def test_criterion_01_derivative_correctness():

@@ -77,6 +77,30 @@ def test_fit_reports_unconverged_fit_on_stderr(data_csv, tmp_path, capsys):
     assert ok.err == ""
 
 
+def test_fit_summary_names_optimizer_and_stop_reason(data_csv, tmp_path,
+                                                     capsys):
+    model = str(tmp_path / "model.json")
+    args = ["fit", "--method", "xpca", "--rank", "2",
+            "--input", data_csv, "--output", model]
+    for extra, optimizer, stop in (
+            ([], "newton", "gradient tolerance"),
+            (["--optimizer", "newton"], "newton", "gradient tolerance"),
+            (["--optimizer", "lbfgs"], "lbfgs", None),
+            (["--optimizer", "bcd", "--max-iterations", "1"], "bcd",
+             "budget")):
+        capsys.readouterr()
+        assert main(args + extra) == 0
+        info = load_model(model).info
+        line = capsys.readouterr().out.splitlines()[2]
+        assert line == ("optimizer=%s sweeps=%d evals=%d hessp=%d "
+                        "converged=%s stop_reason=%s"
+                        % (info["optimizer"], info["sweeps"], info["evals"],
+                           info["hessp"], info["converged"],
+                           info["stop_reason"]))
+        assert info["optimizer"].split("+")[0] == optimizer
+        assert stop is None or info["stop_reason"] == stop
+
+
 def test_impute_with_input_fills_only_missing(data_csv, tmp_path):
     model = str(tmp_path / "model.json")
     out = str(tmp_path / "completed.csv")

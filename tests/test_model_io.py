@@ -247,3 +247,58 @@ def test_rejects_malformed_v2_files(tmp_path):
         corrupt(bad, mutate)
         with pytest.raises(ValueError, match=message):
             load_model(bad)
+
+
+# mutations whose wrong JSON type used to escape load_model as an
+# AttributeError or TypeError, with the field each error must name
+WRONG_TYPES = [
+    (lambda p: p.update(marginals=[]), "field marginals must be an object"),
+    (lambda p: p.update(sigma=None), "field sigma must be a number"),
+    (lambda p: p.update(info=3), "field info must be an object"),
+]
+
+
+def malformed_copies(tmp_path):
+    """(name, path) of every WRONG_TYPES mutation of the v1 pca fixture and
+    of a v2 xpca file, with the message each must raise."""
+    data, _ = planted(20, 6, 2, 0.5, seed=2, missing=0.1)
+    v2 = tmp_path / "v2.json"
+    save_model(fit_xpca(data, rank=2), v2)
+    for source in (DATA / "model-v1-pca.json", v2):
+        for k, (mutate, message) in enumerate(WRONG_TYPES):
+            bad = tmp_path / ("%s-%d.json" % (source.stem, k))
+            bad.write_text(source.read_text())
+            corrupt(bad, mutate)
+            yield bad, message
+
+
+def test_rejects_wrong_field_types(tmp_path):
+    for bad, message in malformed_copies(tmp_path):
+        with pytest.raises(ValueError, match=message):
+            load_model(bad)
+
+
+def test_cli_reports_wrong_field_types(tmp_path, capsys):
+    from gcfactor.cli import main
+
+    out = tmp_path / "out.csv"
+    for bad, message in malformed_copies(tmp_path):
+        capsys.readouterr()
+        assert main(["impute", "--model", str(bad), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model field ") and message in err
+        assert not out.exists()
+
+
+def test_stop_reason_survives_the_model_file(tmp_path):
+    data, _ = planted(20, 6, 2, 0.5, seed=2, missing=0.1)
+    for opts in (FitOptions(rank=2), FitOptions(rank=2, optimizer="bcd",
+                                                max_iterations=1)):
+        model = fit_xpca(data, opts)
+        assert isinstance(model.info["stop_reason"], str)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.info["stop_reason"] == model.info["stop_reason"]
+        assert loaded.info["hessp"] == model.info["hessp"]
+        assert loaded.info == model.info

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
 
+from _support import binary_continuous_instance
 from gcfactor.data import ObservedMatrix
 from gcfactor.marginals import fit_edf, global_epsilon
 from gcfactor.normals import IntervalUnderflowError, log_interval_prob
@@ -14,6 +15,7 @@ from gcfactor.objective import (
     compute_workspace,
     entry_d2theta,
     entry_dtheta,
+    factor_hessian,
     grad_factors,
     grad_sigma,
     hess_sigma,
@@ -329,6 +331,55 @@ def test_row_hessians_match_fd_of_gradient():
         assert rel_err(H, fd, floor=1e-3) < 1e-4
 
 
+def factor_gradient(U, V, log_sigma, bounds, ridge):
+    """Gradient of NLL(U Vᵀ, e^s) + (ridge / 2)(||U||² + ||V||²) in (U, V,
+    s), flattened, from the first-derivative kernel alone."""
+    sigma = np.exp(log_sigma)
+    gU, gV = grad_factors(U, V, sigma, bounds)
+    gs = grad_sigma(U @ V.T, sigma, bounds) * sigma
+    return np.concatenate([(gU + ridge * U).ravel(), (gV + ridge * V).ravel(),
+                           [gs]])
+
+
+def test_factor_hessian_matches_fd_of_gradient():
+    # criterion 1's instances, step and Hessian tolerance: every product,
+    # in random, factor-only and sigma-only directions, within 1e-4 of
+    # central differences of the gradient
+    h = 1e-6
+    tails = np.zeros(2, dtype=int)
+    for seed in range(10):
+        bounds, U, V, sigma = binary_continuous_instance(seed)
+        theta = bounds.observed_theta(U, V)
+        with np.errstate(invalid="ignore"):
+            tails += [np.sum((bounds.lower - theta) / sigma >= 2.0),
+                      np.sum((bounds.upper - theta) / sigma <= -2.0)]
+        ws = compute_workspace(theta, sigma, bounds)
+        rng = np.random.default_rng(seed + 100)
+        dU, dV = rng.normal(size=U.shape), rng.normal(size=V.shape)
+        zU, zV = np.zeros_like(U), np.zeros_like(V)
+        directions = [(dU, dV, float(rng.normal())), (zU, zV, 1.0),
+                      (dU, zV, 0.0), (zU, dV, 0.0)]
+        for ridge in (0.0, 1.0):
+            product = factor_hessian(U, V, ws, ridge)
+            flat = []
+            for eU, eV, es in directions:
+                hU, hV, hs = product(eU, eV, es)
+                got = np.concatenate([hU.ravel(), hV.ravel(), [hs]])
+                fd = (factor_gradient(U + h * eU, V + h * eV,
+                                      np.log(sigma) + h * es, bounds, ridge)
+                      - factor_gradient(U - h * eU, V - h * eV,
+                                        np.log(sigma) - h * es, bounds,
+                                        ridge)) / (2 * h)
+                assert rel_err(got, fd, floor=1e-2) < 1e-4
+                flat.append((np.concatenate([eU.ravel(), eV.ravel(), [es]]),
+                             got))
+            # the Hessian is symmetric: <a, H b> = <b, H a>
+            (a, Ha), (b, Hb) = flat[0], flat[1]
+            assert abs(a @ Hb - b @ Ha) <= 1e-10 * (abs(a @ Hb) + 1.0)
+    # the draws reach into both tails of the likelihood
+    assert np.all(tails > 0)
+
+
 def test_row_hessian_trivial_forms():
     # unit curvatures with orthonormal V give the identity
     mask = np.ones((1, 3), bool)
@@ -423,7 +474,7 @@ def reference_workspace(theta, sigma, lower, upper, mask):
     """The m×n kernel the flat one replaced: every cell is evaluated, with
     unobserved cells parked on (-1, 1] and zeroed afterwards. Underflowing
     entries come back as logp = -inf with zero derivatives. Returns dense
-    (logp, A, D2, T2, T3)."""
+    (logp, A, D2, T2, T3, Tsq)."""
     with np.errstate(invalid="ignore"):
         x = (lower - theta) / sigma
         y = (upper - theta) / sigma
@@ -435,7 +486,7 @@ def reference_workspace(theta, sigma, lower, upper, mask):
     lower_tail = y <= -2.0
     tail = upper_tail | lower_tail
     body = ~tail
-    logp, A, D2, T2, T3 = (np.zeros(mask.shape) for _ in range(5))
+    logp, A, D2, T2, T3, Tsq = (np.zeros(mask.shape) for _ in range(6))
     xb, yb = x[body], y[body]
     p = ndtr(yb) - ndtr(xb)
     with np.errstate(divide="ignore"):
@@ -447,6 +498,7 @@ def reference_workspace(theta, sigma, lower, upper, mask):
     D2[body] = (t1 * t1 + t2) / sigma ** 2
     T2[body] = t2
     T3[body] = (_ref_xkphi(yb, 3) - _ref_xkphi(xb, 3)) / pd
+    Tsq[body] = (_ref_xkphi(yb, 2) - _ref_xkphi(xb, 2)) / pd
     xt = np.where(upper_tail[tail], x[tail], -y[tail])
     yt = np.where(upper_tail[tail], y[tail], -x[tail])
     sign = np.where(upper_tail[tail], -1.0, 1.0)
@@ -464,13 +516,16 @@ def reference_workspace(theta, sigma, lower, upper, mask):
         T2[tail] = t2
         T3[tail] = -np.exp(_ref_log_diff(_ref_log_xkphi(xt, 3),
                                          _ref_log_xkphi(yt, 3)) - lp)
+        # x^2 phi(x) is even: reflecting the lower tail keeps its sign
+        Tsq[tail] = sign * np.exp(_ref_log_diff(_ref_log_xkphi(xt, 2),
+                                                _ref_log_xkphi(yt, 2)) - lp)
     bad = mask & (np.isneginf(logp) | np.isnan(logp))
     logp[bad] = -np.inf
-    for arr in (A, D2, T2, T3):
+    for arr in (A, D2, T2, T3, Tsq):
         arr[bad] = 0.0
-    for arr in (logp, A, D2, T2, T3):
+    for arr in (logp, A, D2, T2, T3, Tsq):
         arr[~mask] = 0.0
-    return logp, A, D2, T2, T3
+    return logp, A, D2, T2, T3, Tsq
 
 
 def assert_close(got, want, rel=1e-12):
@@ -519,7 +574,8 @@ def test_flat_kernel_matches_dense_reference(seed, reject):
     assert np.any(np.isneginf(ws.logp)) == reject
 
     at = (bounds.rows, bounds.cols)
-    for got, want in zip((ws.logp, ws.A, ws.D2, ws.T2, ws.T3), ref):
+    for got, want in zip((ws.logp, ws.A, ws.D2, ws.T2, ws.T3, ws.Tsq), ref,
+                         strict=True):
         assert_close(got, want[at])
     assert_close(ws.nll(), -np.sum(ref[0]))
     assert_close(ws.row_nll(), -np.sum(ref[0], axis=1))
@@ -541,7 +597,7 @@ def test_kernel_never_reads_unobserved_cells(fill):
     clean = compute_workspace(theta, sigma, bounds)
     dirty = np.where(bounds.mask, theta, fill)
     ws = compute_workspace(dirty, sigma, bounds)
-    for name in ("logp", "A", "D2", "T2", "T3"):
+    for name in ("logp", "A", "D2", "T2", "T3", "Tsq"):
         assert np.array_equal(getattr(ws, name), getattr(clean, name))
     flat = compute_workspace(theta[bounds.rows, bounds.cols], sigma, bounds)
     assert np.array_equal(flat.logp, clean.logp)
@@ -557,5 +613,5 @@ def test_rejected_tail_entry_raises_no_warning():
         warnings.simplefilter("error")
         ws = compute_workspace(theta, 1.0, bounds, on_underflow="inf")
     assert np.isneginf(ws.logp[0]) and np.isfinite(ws.logp[1])
-    for arr in (ws.A, ws.D2, ws.T2, ws.T3):
+    for arr in (ws.A, ws.D2, ws.T2, ws.T3, ws.Tsq):
         assert arr[0] == 0.0 and np.isfinite(arr[1])
