@@ -34,7 +34,7 @@ from .impute import (
     impute_mean_interp,
     impute_median,
 )
-from .marginals import Edf, EdfVariant, edf_inverse, fit_edf, global_epsilon
+from .marginals import Edf, EdfVariant, edf_inverse, fit_edf
 from .model_io import load_model, save_model
 from .simulate import (
     MarginalSpec,
@@ -66,7 +66,6 @@ __all__ = [
     "fit_ranks",
     "fit_xpca",
     "generate",
-    "global_epsilon",
     "impute",
     "impute_mean",
     "impute_mean_interp",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on runtime failure (bad files, incompatible
 model/estimator, fit errors), 2 on usage errors (argparse and value
-validation). Every command taking --seed is deterministic for a fixed seed.
+validation). Every command is deterministic: simulate and cv draw from
+--seed, and fit has no randomness at all.
 """
 
 import argparse
@@ -115,8 +116,6 @@ def cmd_fit(args):
             opts["optimizer"] = args.optimizer
         if args.max_iterations is not None:
             opts["max_iterations"] = args.max_iterations
-        if args.seed is not None:
-            opts["seed"] = args.seed
         model = fit_xpca(data, rank=args.rank, **opts)
     save_model(model, args.output)
 
@@ -306,7 +305,6 @@ def build_parser():
                        help="xpca optimizer (default newton)")
     p_fit.add_argument("--max-iterations", type=_positive_int,
                        help="xpca iteration budget")
-    p_fit.add_argument("--seed", type=int, help="xpca fit seed")
     p_fit.set_defaults(func=cmd_fit)
 
     p_imp = sub.add_parser("impute", help="impute from a saved model")
@@ -357,7 +355,7 @@ def main(argv=None):
     if getattr(args, "command", None) == "fit" and args.method != "coca" and args.ties:
         parser.error("--ties applies only to --method coca")
     if getattr(args, "command", None) == "fit" and args.method != "xpca":
-        for flag in ("optimizer", "max_iterations", "seed"):
+        for flag in ("optimizer", "max_iterations"):
             if getattr(args, flag) is not None:
                 parser.error("--%s applies only to --method xpca"
                              % flag.replace("_", "-"))

@@ -46,7 +46,6 @@ from .gaussian import (
     orthogonalize,
     thin_svd,
 )
-from .marginals import global_epsilon
 from .objective import (
     batched_row_hessians,
     build_bounds,
@@ -79,7 +78,8 @@ class FitOptions:
     2000 iterations or evaluations, or 500 sweeps. tol_rel_nll is the
     relative-reduction stop of L-BFGS and BCD, lbfgs_memory the L-BFGS
     history length. ridge weighs the nuclear-norm penalty; 0 fits the
-    exact likelihood.
+    exact likelihood. Every path starts from the deterministic
+    rank-transform fit, so equal options on equal data give equal fits.
     """
 
     rank: int = 1
@@ -87,7 +87,6 @@ class FitOptions:
     max_iterations: int = None
     tol_rel_nll: float = 1e-8
     sigma_floor: float = 1e-4
-    seed: int = 0
     lbfgs_memory: int = 10
     ridge: float = DEFAULT_RIDGE
 
@@ -557,8 +556,7 @@ def newton_fit(state, opts):
 
 def _warm_start(data, opts):
     z, edfs = coca_transform(data)
-    eps = global_epsilon(edfs)
-    bounds = build_bounds(data, edfs, eps)
+    bounds = build_bounds(data, edfs)
     U, V, sigma, info = fit_gaussian(z, opts.rank)
     sigma = min(max(sigma, opts.sigma_floor), 1.0)
     state = FitState(U, V, sigma, bounds, ridge=opts.ridge)
@@ -572,7 +570,7 @@ def _warm_start(data, opts):
             state.nll = float(ws.nll()) + state.penalty
             break
         state.sigma = min(2.0 * state.sigma, 1.0)
-    return state, edfs, eps
+    return state, edfs
 
 
 def fit_xpca(data, options=None, **kw):
@@ -592,7 +590,7 @@ def fit_xpca(data, options=None, **kw):
     if opts.rank > min(data.m, data.n):
         raise ValueError("rank must not exceed min(m, n)")
 
-    state, edfs, eps = _warm_start(data, opts)
+    state, edfs = _warm_start(data, opts)
     state.trace.append(state.nll)
 
     path = [opts.optimizer]
@@ -629,11 +627,10 @@ def fit_xpca(data, options=None, **kw):
         "grad_maxnorm": gradient_maxnorm(state),
         "skipped_blocks": state.skipped_blocks,
         "trace": [float(t) for t in state.trace],
-        "seed": opts.seed,
         "ridge": opts.ridge,
         "penalty": state.penalty,
     }
     if state.notes:
         info["notes"] = list(state.notes)
-    return FactorModel("xpca", U, V, state.sigma, edfs, epsilon=eps,
+    return FactorModel("xpca", U, V, state.sigma, edfs,
                        column_names=data.column_names, info=info)

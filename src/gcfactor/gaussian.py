@@ -39,12 +39,12 @@ class FactorModel:
     U is m×k (scores), V is n×k (components), theta = U Vᵀ estimates the
     latent means, sigma the residual scale. marginals carries what the
     method needs to map back to data space: (mean, stddev) pairs for pca,
-    per-column empirical distributions for coca/xpca. epsilon is the
-    censoring offset (xpca only). info collects fit diagnostics.
+    per-column empirical distributions for coca/xpca. info collects fit
+    diagnostics.
     """
 
-    def __init__(self, method, U, V, sigma, marginals, epsilon=None,
-                 column_names=None, info=None):
+    def __init__(self, method, U, V, sigma, marginals, column_names=None,
+                 info=None):
         method = str(method).lower()
         if method not in ("pca", "coca", "xpca"):
             raise ValueError("unknown method %r" % method)
@@ -59,7 +59,6 @@ class FactorModel:
         self.marginals = list(marginals)
         if len(self.marginals) != self.V.shape[0]:
             raise ValueError("need one marginal per column")
-        self.epsilon = None if epsilon is None else float(epsilon)
         if column_names is None:
             column_names = ["col%d" % j for j in range(self.V.shape[0])]
         self.column_names = list(column_names)

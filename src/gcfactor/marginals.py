@@ -12,7 +12,7 @@ import enum
 
 import numpy as np
 
-from .normals import ZInterval, std_normal_quantile
+from .normals import std_normal_quantile
 
 
 class EdfVariant(enum.Enum):
@@ -106,18 +106,6 @@ def fit_edf(values):
     return Edf(distinct, counts)
 
 
-def edf_eval(edf, x, variant=EdfVariant.MAX_RANK):
-    """Step-function value at x: 0 left of the support, else the cumulative
-    of the largest distinct value <= x (right-continuous)."""
-    cum = edf.cumulative(variant)
-    x = np.asarray(x, dtype=float)
-    idx = np.searchsorted(edf.distinct, x, side="right") - 1
-    out = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def edf_inverse(edf, y, variant=EdfVariant.MAX_RANK):
     """Generalized inverse: min(support) when y is at or below the first
     cumulative value, otherwise the largest s with cumulative(s) <= y.
@@ -137,12 +125,6 @@ def edf_inverse(edf, y, variant=EdfVariant.MAX_RANK):
     return out
 
 
-def global_epsilon(edfs):
-    """Half the smallest gap between adjacent distinct values over all columns."""
-    gaps = [np.min(np.diff(e.distinct)) for e in edfs]
-    return 0.5 * float(min(gaps))
-
-
 def _value_indices(edf, x):
     x = np.asarray(x, dtype=float)
     idx = np.searchsorted(edf.distinct, x)
@@ -150,22 +132,3 @@ def _value_indices(edf, x):
     if np.any(edf.distinct[idx] != x):
         raise ValueError("value not observed in this column")
     return idx
-
-
-def z_bounds(edf, x, eps):
-    """Latent half-open interval (l, r] that x is censored to.
-
-    The backward step x - eps lands strictly inside the previous gap whenever
-    eps is below the column's smallest adjacent gap, so the bounds are the
-    max-rank cut just below x and the one at x. Column extremes get -inf/+inf.
-    """
-    if not 0.0 < eps < float(np.min(np.diff(edf.distinct))):
-        raise ValueError("eps must be positive and below the smallest value gap")
-    idx = _value_indices(edf, x)
-    cuts = edf.z_cuts
-    scalar = np.ndim(x) == 0
-    lo = cuts[idx]
-    hi = cuts[idx + 1]
-    if scalar:
-        return ZInterval(float(lo), float(hi))
-    return ZInterval(lo, hi)

@@ -4,13 +4,13 @@ The file is self-describing and complete: factors, scale, and per-column
 marginal summaries (mean/stddev pairs for pca, full empirical tables for
 coca/xpca) travel together, so a loaded model imputes without the original
 data. Save, load, impute reproduces the in-memory model's output bit for bit,
-and saving a loaded model reproduces the file byte for byte.
+and saving a loaded version 2 file reproduces it byte for byte.
 
 Format version 2, the one save_model writes, is one JSON object with the
 fields ``format``, ``version``, ``method``, ``m``, ``n``, ``rank``,
-``sigma``, ``epsilon``, ``column_names``, ``U``, ``V``, ``marginals`` and
-``info``. The numeric arrays are base64 strings of their raw little-endian
-bytes, row-major:
+``sigma``, ``column_names``, ``U``, ``V``, ``marginals`` and ``info``. The
+numeric arrays are base64 strings of their raw little-endian bytes,
+row-major:
 
 - ``U`` (m×rank) and ``V`` (n×rank): float64;
 - ``marginals.stats`` for pca (n×2 mean/stddev pairs): float64;
@@ -21,7 +21,9 @@ Every other field, ``info`` and ``column_names`` included, is plain JSON.
 The whole object is written by one ``json.dumps`` call, which runs the C
 encoder (``json.dump``, or any ``indent``, runs the pure-Python one).
 Version 1 files, which held the arrays as nested JSON number lists written
-with ``indent=1``, still load.
+with ``indent=1``, still load. Older files of either version may carry an
+``epsilon`` field, which is ignored, and xpca ones an ``info["seed"]``,
+which stays in ``info`` as a plain record.
 
 On the benchmark's xpca-exp-tall model (4000×100, rank 3, about 800
 distinct values per column) a version 1 file took 2,972,632 bytes, 0.28 s
@@ -116,7 +118,6 @@ def save_model(model, path):
         "n": int(model.V.shape[0]),
         "rank": int(model.U.shape[1]),
         "sigma": float(model.sigma),
-        "epsilon": None if model.epsilon is None else float(model.epsilon),
         "column_names": list(model.column_names),
         "U": _pack(model.U, np.float64),
         "V": _pack(model.V, np.float64),
@@ -197,9 +198,7 @@ def load_model(path):
     if len(marginals) != n:
         raise ValueError("marginal count disagrees with the declared width")
 
-    epsilon, info = payload.get("epsilon"), payload.get("info")
-    if epsilon is not None:
-        epsilon = _number(payload, "epsilon", float)
+    info = payload.get("info")
     if info is not None:
         _typed(info, "info", dict, "an object")
     return FactorModel(
@@ -208,7 +207,6 @@ def load_model(path):
         V,
         _number(payload, "sigma", float),
         marginals,
-        epsilon=epsilon,
         column_names=_typed(_require(payload, "column_names"),
                             "column_names", list, "a list"),
         info=info,

@@ -1,17 +1,13 @@
-"""Standard-normal kernels: density, CDF, quantile, and stable interval log-probabilities.
+"""Standard-normal kernels: density, CDF and quantile, plus the same-tail
+log-space helpers of objective.compute_workspace's interval probabilities.
 
-Everything here accepts scalars or numpy arrays and broadcasts. Infinite
-endpoints are first-class: pdf(+-inf) = 0, cdf(-inf) = 0, cdf(+inf) = 1,
-quantile(0) = -inf, quantile(1) = +inf.
+The density, CDF and quantile accept scalars or numpy arrays and
+broadcast. Infinite endpoints are first-class: pdf(+-inf) = 0, cdf(-inf) =
+0, cdf(+inf) = 1, quantile(0) = -inf, quantile(1) = +inf.
 """
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
-
-from collections import namedtuple
-
-# Half-open latent interval (lower, upper]; endpoints may be +-inf.
-ZInterval = namedtuple("ZInterval", ["lower", "upper"])
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -84,64 +80,3 @@ def _tail_log_prob(xt, yt):
     # log(Phi(-xt) - Phi(-yt)) from the log-CDFs, which stay accurate to
     # about -1e9
     return _log_diff(log_ndtr(-xt), log_ndtr(-yt))
-
-
-def log_interval_prob(lower, upper, theta=0.0, sigma=1.0):
-    """log P(lower < Z <= upper) for Z ~ N(theta, sigma^2).
-
-    Parameters
-    ----------
-    lower, upper : float or array
-        Interval endpoints, lower < upper required; +-inf allowed.
-    theta, sigma : float or array
-        Location and scale; sigma must be positive.
-
-    Returns
-    -------
-    float or ndarray
-        The log probability. Computed directly where the interval has
-        non-negligible mass, and via complementary log-space tails when both
-        standardized endpoints land beyond 2 on one side, so results stay
-        finite far beyond the point where Phi differences underflow.
-
-    Raises
-    ------
-    IntervalUnderflowError
-        If the probability underflows even in log space (the location is of
-        order 1e16 interval-widths outside the interval).
-    ValueError
-        On a degenerate interval (lower >= upper) or nonpositive sigma.
-    """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0.0):
-        raise ValueError("sigma must be positive")
-    if np.any(~(lower < upper)):
-        raise ValueError("interval must satisfy lower < upper")
-
-    with np.errstate(invalid="ignore"):
-        a = (lower - theta) / sigma
-        b = (upper - theta) / sigma
-    # keep the infinities when theta is infinite too
-    a = np.where(np.isneginf(lower), -np.inf, a)
-    b = np.where(np.isposinf(upper), np.inf, b)
-
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape, dtype=float)
-    tail, _, xt, yt = _split_tails(a, b)
-    body = ~tail
-    if np.any(body):
-        with np.errstate(divide="ignore"):
-            out[body] = np.log(ndtr(b[body]) - ndtr(a[body]))
-    if np.any(tail):
-        out[tail] = _tail_log_prob(xt, yt)
-
-    if np.any(np.isneginf(out)) or np.any(np.isnan(out)):
-        raise IntervalUnderflowError(
-            "interval probability underflowed in log space"
-        )
-    if out.ndim == 0:
-        return float(out)
-    return out

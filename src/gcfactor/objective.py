@@ -94,9 +94,11 @@ class BoundsMatrix:
                                       shape=self.shape)
 
 
-def build_bounds(data, edfs, eps):
+def build_bounds(data, edfs):
     """Censoring interval for every observed entry from its column's
-    empirical distribution."""
+    empirical distribution: (Phi^-1(F(x - eps)), Phi^-1(F(x))] with F the
+    max-rank cumulative, which for any eps below the column's smallest
+    value gap is the latent cut just below x and the one at x."""
     mask = data.mask
     rows, cols = np.nonzero(mask)
     lower = np.empty(rows.size)
@@ -110,10 +112,6 @@ def build_bounds(data, edfs, eps):
             continue
         idx = _value_indices(edf, data.values[rows[at], j])
         cuts = edf.z_cuts
-        # eps only participates through its contract: below every value gap,
-        # so the backward evaluation lands exactly one cut down
-        if not 0.0 < eps < float(np.min(np.diff(edf.distinct))):
-            raise ValueError("eps must be positive and below the smallest value gap")
         lower[at] = cuts[idx]
         upper[at] = cuts[idx + 1]
     return BoundsMatrix(lower, upper, mask)
@@ -267,30 +265,6 @@ def compute_workspace(theta, sigma, bounds, derivs=True, on_underflow="raise"):
     return DerivativeWorkspace(logp, A, D2, T2, Tsq, T3, sigma, bounds)
 
 
-def nll(theta, sigma, bounds):
-    """Total negative log-likelihood over observed entries."""
-    return compute_workspace(theta, sigma, bounds, derivs=False).nll()
-
-
-def _scalar_bounds(lower, upper):
-    return BoundsMatrix(np.array([[lower]]), np.array([[upper]]),
-                        np.ones((1, 1), dtype=bool))
-
-
-def entry_dtheta(iv, theta, sigma):
-    """d/dtheta of one entry's loss -log P(l < Z <= r)."""
-    ws = compute_workspace(np.array([float(theta)]), sigma,
-                           _scalar_bounds(iv[0], iv[1]))
-    return float(ws.A[0])
-
-
-def entry_d2theta(iv, theta, sigma):
-    """Second theta-derivative of one entry's loss."""
-    ws = compute_workspace(np.array([float(theta)]), sigma,
-                           _scalar_bounds(iv[0], iv[1]))
-    return float(ws.D2[0])
-
-
 def grad_sigma(theta, sigma, bounds, workspace=None):
     ws = workspace or compute_workspace(theta, sigma, bounds)
     return float(np.sum(ws.T2)) / ws.sigma
@@ -371,13 +345,3 @@ def batched_row_hessians(basis, workspace, axis):
     D2 = workspace.bounds.sparse(workspace.D2)
     H = D2 @ outer if axis == 0 else D2.T @ outer
     return H.reshape(-1, k, k)
-
-
-def row_hessian_u(V, workspace, i):
-    """Hessian of the loss in U's row i: V^T diag(D2 row) V."""
-    return batched_row_hessians(V, workspace, 0)[i]
-
-
-def row_hessian_v(U, workspace, j):
-    """Hessian of the loss in V's row j: U^T diag(D2 column) U."""
-    return batched_row_hessians(U, workspace, 1)[j]

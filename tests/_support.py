@@ -1,11 +1,12 @@
 """Shared test helpers: planted low-rank data with per-column marginals,
-and the random evaluation points of the derivative checks."""
+the random evaluation points of the derivative checks, and one-entry
+bounds."""
 
 import numpy as np
 
 from gcfactor.data import ObservedMatrix
-from gcfactor.marginals import fit_edf, global_epsilon
-from gcfactor.objective import build_bounds
+from gcfactor.marginals import fit_edf
+from gcfactor.objective import BoundsMatrix, build_bounds
 
 
 def planted(m, n, k, sigma, seed, missing=0.0, kinds="mixed"):
@@ -68,8 +69,13 @@ def binary_continuous_instance(seed, m=20, n=15, rank=3, missing=0.3):
         except ValueError:
             continue
     edfs = [fit_edf(data.column_observed(j)) for j in range(n)]
-    bounds = build_bounds(data, edfs, global_epsilon(edfs))
+    bounds = build_bounds(data, edfs)
     U = rng.normal(scale=0.7, size=(m, rank))
     V = rng.normal(scale=0.7, size=(n, rank))
     sigma = float(rng.uniform(0.4, 1.2))
     return bounds, U, V, sigma
+
+
+def single_bounds(lo, hi):
+    """One observed entry censored to (lo, hi]."""
+    return BoundsMatrix(np.array([[lo]]), np.array([[hi]]), np.ones((1, 1), bool))

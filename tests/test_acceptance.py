@@ -16,16 +16,14 @@ from gcfactor.data import ObservedMatrix, mask_random
 from gcfactor.fit import FitOptions, FitState, bcd_sweep, fit_xpca, gradient_maxnorm
 from gcfactor.gaussian import FactorModel, coca_impute, fit_coca, fit_pca
 from gcfactor.impute import entry_distribution, impute, impute_mean, impute_median
-from gcfactor.marginals import fit_edf, global_epsilon
+from gcfactor.marginals import fit_edf
 from gcfactor.objective import (
+    batched_row_hessians,
     build_bounds,
     compute_workspace,
     grad_factors,
     grad_sigma,
     hess_sigma,
-    nll,
-    row_hessian_u,
-    row_hessian_v,
 )
 from gcfactor.simulate import generate, named_spec, run_scenario, tie_method_experiment
 
@@ -53,29 +51,36 @@ def test_criterion_01_derivative_correctness():
                 up, dn = U.copy(), U.copy()
                 up[i, l] += h
                 dn[i, l] -= h
-                fd_gU[i, l] = (nll(up @ V.T, sigma, bounds)
-                               - nll(dn @ V.T, sigma, bounds)) / (2 * h)
+                fd_gU[i, l] = (
+                    compute_workspace(up @ V.T, sigma, bounds, derivs=False).nll()
+                    - compute_workspace(dn @ V.T, sigma, bounds, derivs=False).nll()
+                ) / (2 * h)
         for j in range(V.shape[0]):
             for l in range(k):
                 up, dn = V.copy(), V.copy()
                 up[j, l] += h
                 dn[j, l] -= h
-                fd_gV[j, l] = (nll(U @ up.T, sigma, bounds)
-                               - nll(U @ dn.T, sigma, bounds)) / (2 * h)
+                fd_gV[j, l] = (
+                    compute_workspace(U @ up.T, sigma, bounds, derivs=False).nll()
+                    - compute_workspace(U @ dn.T, sigma, bounds, derivs=False).nll()
+                ) / (2 * h)
         assert rel_err(gU, fd_gU, floor=1e-3) < 1e-5
         assert rel_err(gV, fd_gV, floor=1e-3) < 1e-5
 
         hs = 1e-6 * sigma
-        fd_gs = (nll(U @ V.T, sigma + hs, bounds)
-                 - nll(U @ V.T, sigma - hs, bounds)) / (2 * hs)
+        fd_gs = (compute_workspace(U @ V.T, sigma + hs, bounds, derivs=False).nll()
+                 - compute_workspace(U @ V.T, sigma - hs, bounds, derivs=False).nll()
+                 ) / (2 * hs)
         assert rel_err(grad_sigma(U @ V.T, sigma, bounds), fd_gs, floor=1e-3) < 1e-5
         fd_hs = (grad_sigma(U @ V.T, sigma + hs, bounds)
                  - grad_sigma(U @ V.T, sigma - hs, bounds)) / (2 * hs)
         assert rel_err(hess_sigma(U @ V.T, sigma, bounds), fd_hs, floor=1e-2) < 1e-4
 
         ws = compute_workspace(U @ V.T, sigma, bounds)
+        HU = batched_row_hessians(V, ws, axis=0)
+        HV = batched_row_hessians(U, ws, axis=1)
         for i in (0, 9, 19):
-            H = row_hessian_u(V, ws, i)
+            H = HU[i]
             fd = np.empty((k, k))
             for l in range(k):
                 up, dn = U.copy(), U.copy()
@@ -85,7 +90,7 @@ def test_criterion_01_derivative_correctness():
                             - grad_factors(dn, V, sigma, bounds)[0][i]) / (2 * h)
             assert rel_err(H, fd, floor=1e-2) < 1e-4
         for j in (0, 7, 14):
-            H = row_hessian_v(U, ws, j)
+            H = HV[j]
             fd = np.empty((k, k))
             for l in range(k):
                 up, dn = V.copy(), V.copy()
@@ -140,7 +145,7 @@ def test_criterion_04_distribution_normalization():
     for j in range(0, train.n, 7):
         edf = fit_edf(train.column_observed(j))
         ident = FactorModel("xpca", np.zeros((4, 2)), np.zeros((1, 2)), 1.0,
-                            [edf], epsilon=global_epsilon([edf]))
+                            [edf])
         dist = entry_distribution(ident, 0, 0)
         freq = edf.counts / edf.m_obs
         assert np.array_equal(dist.support, edf.distinct)
@@ -206,7 +211,7 @@ def test_criterion_08_bcd_monotone_and_convergent():
     # at least 18 starts meet the gradient tolerance within 500 sweeps
     data, _ = planted(50, 40, 3, 0.5, seed=17, missing=0.3, kinds="mixed")
     edfs = [fit_edf(data.column_observed(j)) for j in range(data.n)]
-    bounds = build_bounds(data, edfs, global_epsilon(edfs))
+    bounds = build_bounds(data, edfs)
     opts = FitOptions(rank=3, optimizer="bcd")
     converged = 0
     for start in range(20):

@@ -24,7 +24,7 @@ from gcfactor.impute import (
     impute_mean_interp,
     impute_median,
 )
-from gcfactor.marginals import fit_edf, global_epsilon
+from gcfactor.marginals import fit_edf
 from gcfactor.normals import std_normal_pdf, std_normal_quantile
 
 
@@ -37,8 +37,7 @@ def theta_model(thetas, column, sigma=1.0):
     edf = fit_edf(column)
     U = np.asarray(thetas, dtype=float).reshape(-1, 1)
     V = np.ones((1, 1))
-    return FactorModel("xpca", U, V, sigma, [edf],
-                       epsilon=global_epsilon([edf]))
+    return FactorModel("xpca", U, V, sigma, [edf])
 
 
 def test_entry_distribution_matches_reference_masses():

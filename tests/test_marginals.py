@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from gcfactor.marginals import (
-    Edf,
-    EdfVariant,
-    edf_eval,
-    edf_inverse,
-    fit_edf,
-    global_epsilon,
-    z_bounds,
-)
+from gcfactor.data import ObservedMatrix
+from gcfactor.marginals import Edf, EdfVariant, edf_inverse, fit_edf
 from gcfactor.normals import std_normal_cdf
+from gcfactor.objective import build_bounds
 
 
 def reference_column():
@@ -45,14 +39,13 @@ def test_fit_edf_rejects_degenerate_columns():
 
 
 def test_eval_right_continuous_step():
+    # the step function's value at each distinct value, in both conventions
     edf = fit_edf(reference_column())
-    assert edf_eval(edf, 0.5) == 0.0
-    assert edf_eval(edf, 1.0) == 0.070
-    assert edf_eval(edf, 1.5) == 0.070
-    assert edf_eval(edf, 3.0) == 0.801
-    assert edf_eval(edf, 4.0) == 1.0
-    assert edf_eval(edf, 99.0) == 1.0
-    mid = edf_eval(edf, 2.0, EdfVariant.MID_RANK)
+    assert edf.cumulative(EdfVariant.MAX_RANK) is edf.cum_max
+    assert edf.cum_max[0] == 0.070
+    assert edf.cum_max[2] == 0.801
+    assert edf.cum_max[3] == 1.0
+    mid = edf.cumulative(EdfVariant.MID_RANK)[1]
     assert mid == pytest.approx(221.0 / 1001.0, abs=1e-15)
 
 
@@ -61,8 +54,8 @@ def test_eval_reaches_one_only_at_max():
     for _ in range(20):
         vals = rng.choice(rng.normal(size=6), size=40, replace=True)
         edf = fit_edf(vals)
-        assert edf_eval(edf, edf.distinct[-1]) == 1.0
-        assert edf_eval(edf, edf.distinct[-2]) < 1.0
+        assert edf.cum_max[-1] == 1.0
+        assert edf.cum_max[-2] < 1.0
         assert np.all(edf.cum_mid < 1.0) and np.all(edf.cum_mid > 0.0)
         assert np.all(np.diff(edf.cum_max) > 0)
         assert np.all(np.diff(edf.cum_mid) > 0)
@@ -113,7 +106,8 @@ def test_inverse_eval_galois_property():
             inside = ys > cum[0]
             reachable = ys <= cum[-1]
             sel = inside & reachable
-            assert np.all(edf_eval(edf, xs[sel], variant) <= ys[sel])
+            at = np.searchsorted(edf.distinct, xs[sel])
+            assert np.all(cum[at] <= ys[sel])
 
 
 def test_two_value_column_midpoint_transform():
@@ -121,24 +115,15 @@ def test_two_value_column_midpoint_transform():
     assert np.allclose(edf.cum_mid, [1.0 / 3.0, 2.0 / 3.0])
 
 
-def test_global_epsilon():
-    e1 = fit_edf([0.0, 1.0, 3.0])
-    e2 = fit_edf([10.0, 10.5, 20.0])
-    assert global_epsilon([e1, e2]) == 0.25
-    assert global_epsilon([e1]) == 0.5
-
-
 def test_z_bounds_reference_values():
     edf = fit_edf(reference_column())
-    eps = 0.5
-    lo, hi = z_bounds(edf, 3.0, eps)
-    assert lo == pytest.approx(-0.329206, abs=1e-5)
-    assert hi == pytest.approx(0.845199, abs=1e-5)
-    lo, hi = z_bounds(edf, 1.0, eps)
-    assert lo == -np.inf
-    assert hi == pytest.approx(-1.475791, abs=1e-5)
-    lo, hi = z_bounds(edf, 4.0, eps)
-    assert np.isposinf(hi)
+    b = build_bounds(ObservedMatrix(np.array([[3.0], [1.0], [4.0]])), [edf])
+    lo, hi = b.lower, b.upper
+    assert lo[0] == pytest.approx(-0.329206, abs=1e-5)
+    assert hi[0] == pytest.approx(0.845199, abs=1e-5)
+    assert lo[1] == -np.inf
+    assert hi[1] == pytest.approx(-1.475791, abs=1e-5)
+    assert np.isposinf(hi[2])
 
 
 def test_z_bounds_tile_the_real_line():
@@ -149,8 +134,8 @@ def test_z_bounds_tile_the_real_line():
             edf = fit_edf(vals)
         except ValueError:
             continue
-        eps = 0.5 * np.min(np.diff(edf.distinct))
-        lo, hi = z_bounds(edf, edf.distinct, eps)
+        b = build_bounds(ObservedMatrix(edf.distinct[:, None]), [edf])
+        lo, hi = b.lower, b.upper
         # half-open intervals abut exactly and cover (-inf, +inf]
         assert lo[0] == -np.inf
         assert np.isposinf(hi[-1])
@@ -163,19 +148,16 @@ def test_z_bounds_tile_the_real_line():
 def test_z_bounds_uniform_widths_when_all_distinct():
     vals = np.arange(25, dtype=float)
     edf = fit_edf(vals)
-    lo, hi = z_bounds(edf, vals, 0.25)
+    b = build_bounds(ObservedMatrix(vals[:, None]), [edf])
+    lo, hi = b.lower, b.upper
     widths = std_normal_cdf(hi) - std_normal_cdf(lo)
     assert np.allclose(widths, 1.0 / 25.0, atol=1e-15)
 
 
-def test_z_bounds_rejects_unobserved_value_and_bad_eps():
+def test_z_bounds_rejects_unobserved_value():
     edf = fit_edf([1.0, 2.0, 4.0])
-    with pytest.raises(ValueError):
-        z_bounds(edf, 3.0, 0.1)
-    with pytest.raises(ValueError):
-        z_bounds(edf, 2.0, 1.5)
-    with pytest.raises(ValueError):
-        z_bounds(edf, 2.0, 0.0)
+    with pytest.raises(ValueError, match="not observed"):
+        build_bounds(ObservedMatrix(np.array([[3.0], [1.0]])), [edf])
 
 
 def test_edf_constructor_validation():

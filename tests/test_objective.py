@@ -4,24 +4,19 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
 
-from _support import binary_continuous_instance
+from _support import binary_continuous_instance, single_bounds
 from gcfactor.data import ObservedMatrix
-from gcfactor.marginals import fit_edf, global_epsilon
-from gcfactor.normals import IntervalUnderflowError, log_interval_prob
+from gcfactor.marginals import fit_edf
+from gcfactor.normals import IntervalUnderflowError
 from gcfactor.objective import (
     BoundsMatrix,
     batched_row_hessians,
     build_bounds,
     compute_workspace,
-    entry_d2theta,
-    entry_dtheta,
     factor_hessian,
     grad_factors,
     grad_sigma,
     hess_sigma,
-    nll,
-    row_hessian_u,
-    row_hessian_v,
 )
 
 
@@ -35,10 +30,6 @@ def dense(bounds, values):
     out = np.full(bounds.shape, np.nan)
     out[bounds.rows, bounds.cols] = values
     return out
-
-
-def single_bounds(lo, hi):
-    return BoundsMatrix(np.array([[lo]]), np.array([[hi]]), np.ones((1, 1), bool))
 
 
 def mixed_instance(m=12, n=9, rank=2, missing=0.3, seed=0):
@@ -62,8 +53,7 @@ def mixed_instance(m=12, n=9, rank=2, missing=0.3, seed=0):
         except ValueError:  # masked a column into degeneracy; redraw
             continue
     edfs = [fit_edf(om.column_observed(j)) for j in range(n)]
-    eps = global_epsilon(edfs)
-    bounds = build_bounds(om, edfs, eps)
+    bounds = build_bounds(om, edfs)
     U = rng.normal(scale=0.7, size=(m, rank))
     V = rng.normal(scale=0.7, size=(n, rank))
     sigma = rng.uniform(0.4, 1.2)
@@ -76,7 +66,7 @@ def test_build_bounds_binary_column():
     col = np.repeat([0.0, 1.0], [30, 70]).reshape(-1, 1) * np.ones((1, 2))
     om = ObservedMatrix(col)
     edfs = [fit_edf(om.column_observed(j)) for j in range(2)]
-    bounds = build_bounds(om, edfs, 0.25)
+    bounds = build_bounds(om, edfs)
     lower, upper = dense(bounds, bounds.lower), dense(bounds, bounds.upper)
     from scipy.special import ndtri
     c = ndtri(0.3)
@@ -90,7 +80,7 @@ def test_build_bounds_reference_value():
     col = np.repeat([1.0, 2.0, 3.0, 4.0], [70, 301, 430, 199])
     om = ObservedMatrix(np.column_stack([col, np.tile([0.0, 1.0], 500)]))
     edfs = [fit_edf(om.column_observed(j)) for j in range(2)]
-    bounds = build_bounds(om, edfs, global_epsilon(edfs))
+    bounds = build_bounds(om, edfs)
     lower, upper = dense(bounds, bounds.lower), dense(bounds, bounds.upper)
     i = 70 + 301  # first row holding value 3
     assert lower[i, 0] == pytest.approx(-0.329206, abs=1e-5)
@@ -103,7 +93,7 @@ def test_build_bounds_continuous_uniform_widths():
     vals = rng.normal(size=(40, 1)) * np.ones((1, 2))
     om = ObservedMatrix(vals)
     edfs = [fit_edf(om.column_observed(j)) for j in range(2)]
-    bounds = build_bounds(om, edfs, global_epsilon(edfs))
+    bounds = build_bounds(om, edfs)
     lower, upper = dense(bounds, bounds.lower), dense(bounds, bounds.upper)
     widths = std_normal_cdf(upper[:, 0]) - std_normal_cdf(lower[:, 0])
     assert np.allclose(widths, 1.0 / 40.0, atol=1e-15)
@@ -113,20 +103,22 @@ def test_build_bounds_continuous_uniform_widths():
 
 def test_nll_reference_values():
     b = single_bounds(-np.inf, 0.0)
-    assert nll(np.zeros((1, 1)), 1.0, b) == pytest.approx(np.log(2), rel=1e-12)
+    got = compute_workspace(np.zeros((1, 1)), 1.0, b, derivs=False).nll()
+    assert got == pytest.approx(np.log(2), rel=1e-12)
     b = single_bounds(-np.inf, np.inf)
-    assert nll(np.zeros((1, 1)), 1.0, b) == 0.0
+    assert compute_workspace(np.zeros((1, 1)), 1.0, b, derivs=False).nll() == 0.0
     # two entries each holding the middle-mass interval of the reference column
     lo, hi = -0.32920598430265113, 0.84519853528205
     b = BoundsMatrix(np.full((1, 2), lo), np.full((1, 2), hi), np.ones((1, 2), bool))
-    got = nll(np.zeros((1, 2)), 1.0, b)
+    got = compute_workspace(np.zeros((1, 2)), 1.0, b, derivs=False).nll()
     assert got == pytest.approx(1.687940, abs=1e-5)
     assert got == pytest.approx(-2 * np.log(0.430), abs=1e-5)
 
 
 def test_nll_decreases_toward_interval():
     b = single_bounds(1.0, 2.0)
-    vals = [nll(np.array([[t]]), 0.8, b) for t in (-2.0, -1.0, 0.0, 1.0, 1.5)]
+    vals = [compute_workspace(np.array([[t]]), 0.8, b, derivs=False).nll()
+            for t in (-2.0, -1.0, 0.0, 1.0, 1.5)]
     assert all(np.diff(vals) < 0)
 
 
@@ -135,7 +127,7 @@ def test_nll_underflow_reports_entry():
                      np.array([[1.5, np.nextafter(0.5, 1.0)]]),
                      np.ones((1, 2), bool))
     with pytest.raises(IntervalUnderflowError, match=r"\(0, 1\)"):
-        nll(np.zeros((1, 2)), 1.0, b)
+        compute_workspace(np.zeros((1, 2)), 1.0, b, derivs=False)
 
 
 def test_entry_argmin_inside_finite_interval():
@@ -147,7 +139,8 @@ def test_entry_argmin_inside_finite_interval():
         hi = lo + rng.uniform(0.2, 2.0)
         sigma = rng.uniform(0.3, 1.5)
         b = single_bounds(lo, hi)
-        f = lambda t: nll(np.array([[t]]), sigma, b)
+        f = lambda t: compute_workspace(np.array([[t]]), sigma, b,
+                                        derivs=False).nll()
         a, c = lo - 5, hi + 5
         while c - a > 1e-6:
             d1, d2 = c - gr * (c - a), a + gr * (c - a)
@@ -161,22 +154,30 @@ def test_entry_argmin_inside_finite_interval():
 
 # ------------------------------------------------------- entry derivatives
 
+# A one-entry workspace holds that entry's loss derivatives: ws.A is
+# d/dtheta of -log P(l < Z <= r), ws.D2 the second derivative.
+
 def fd_dtheta(lo, hi, theta, sigma):
     h = 1e-5 * max(1.0, abs(theta))
-    f = lambda t: -log_interval_prob(lo, hi, t, sigma)
+    b = single_bounds(lo, hi)
+    f = lambda t: compute_workspace(np.array([t]), sigma, b, derivs=False).nll()
     return (f(theta + h) - f(theta - h)) / (2 * h)
 
 
 def fd_d2theta(lo, hi, theta, sigma):
     h = 1e-4 * max(1.0, abs(theta))
-    f = lambda t: -log_interval_prob(lo, hi, t, sigma)
+    b = single_bounds(lo, hi)
+    f = lambda t: compute_workspace(np.array([t]), sigma, b, derivs=False).nll()
     return (f(theta + h) - 2 * f(theta) + f(theta - h)) / h ** 2
 
 
 def test_entry_dtheta_examples():
-    assert entry_dtheta((-1.3, 1.3), 0.0, 0.7) == 0.0
-    assert abs(entry_dtheta((-np.inf, 5.0), -3.0, 1.0)) < 1e-3
-    assert entry_dtheta((-np.inf, np.inf), 0.4, 1.0) == 0.0
+    ws = compute_workspace(np.zeros(1), 0.7, single_bounds(-1.3, 1.3))
+    assert ws.A[0] == 0.0
+    ws = compute_workspace(np.array([-3.0]), 1.0, single_bounds(-np.inf, 5.0))
+    assert abs(ws.A[0]) < 1e-3
+    ws = compute_workspace(np.array([0.4]), 1.0, single_bounds(-np.inf, np.inf))
+    assert ws.A[0] == 0.0
 
 
 def test_entry_dtheta_fd_agreement():
@@ -192,23 +193,26 @@ def test_entry_dtheta_fd_agreement():
             continue
         theta = rng.normal(scale=2)
         sigma = rng.uniform(0.3, 2.0)
-        got = entry_dtheta((lo, hi), theta, sigma)
+        got = compute_workspace(np.array([theta]), sigma,
+                                single_bounds(lo, hi)).A[0]
         want = fd_dtheta(lo, hi, theta, sigma)
         assert rel_err(got, want, floor=1e-6) < 1e-6
 
 
 def test_entry_dtheta_deep_tail_stays_sane():
     # theta far outside: derivative magnitude ~ distance/sigma^2, no overflow
-    got = entry_dtheta((10.0, 11.0), 0.0, 1.0)
+    b = single_bounds(10.0, 11.0)
+    got = compute_workspace(np.zeros(1), 1.0, b).A[0]
     assert -10.2 < got < -9.9
-    got = entry_dtheta((10.0, 11.0), 30.0, 1.0)
+    got = compute_workspace(np.array([30.0]), 1.0, b).A[0]
     assert 18.5 < got < 21.0
 
 
 def test_entry_d2theta_examples_and_fd():
-    assert entry_d2theta((-np.inf, np.inf), 1.0, 1.0) == 0.0
+    ws = compute_workspace(np.ones(1), 1.0, single_bounds(-np.inf, np.inf))
+    assert ws.D2[0] == 0.0
     # symmetric interval at the stationary point: curvature strictly positive
-    val = entry_d2theta((-0.9, 0.9), 0.0, 1.1)
+    val = compute_workspace(np.zeros(1), 1.1, single_bounds(-0.9, 0.9)).D2[0]
     assert val > 0
     rng = np.random.default_rng(17)
     for _ in range(30):
@@ -216,7 +220,8 @@ def test_entry_d2theta_examples_and_fd():
         hi = lo + rng.uniform(0.2, 2.5)
         theta = rng.normal(scale=1.5)
         sigma = rng.uniform(0.4, 1.6)
-        got = entry_d2theta((lo, hi), theta, sigma)
+        got = compute_workspace(np.array([theta]), sigma,
+                                single_bounds(lo, hi)).D2[0]
         want = fd_d2theta(lo, hi, theta, sigma)
         assert rel_err(got, want, floor=1e-4) < 1e-4
 
@@ -247,7 +252,7 @@ def test_sigma_derivatives_fd_agreement():
     for trial in range(8):
         om, bounds, U, V, sigma = mixed_instance(seed=trial + 50)
         theta = U @ V.T
-        f = lambda s: nll(theta, s, bounds)
+        f = lambda s: compute_workspace(theta, s, bounds, derivs=False).nll()
         h = 1e-5 * sigma
         fd_g = (f(sigma + h) - f(sigma - h)) / (2 * h)
         fd_h = (f(sigma + h) - 2 * f(sigma) + f(sigma - h)) / h ** 2
@@ -292,8 +297,11 @@ def test_grad_factors_fd_agreement():
         up[i, l] += h
         dn[i, l] -= h
         if is_u:
-            return (nll(up @ V.T, sigma, bounds) - nll(dn @ V.T, sigma, bounds)) / (2 * h)
-        return (nll(U @ up.T, sigma, bounds) - nll(U @ dn.T, sigma, bounds)) / (2 * h)
+            up, dn = up @ V.T, dn @ V.T
+        else:
+            up, dn = U @ up.T, U @ dn.T
+        return (compute_workspace(up, sigma, bounds, derivs=False).nll()
+                - compute_workspace(dn, sigma, bounds, derivs=False).nll()) / (2 * h)
 
     for i in range(U.shape[0]):
         for l in range(U.shape[1]):
@@ -308,8 +316,10 @@ def test_row_hessians_match_fd_of_gradient():
     ws = compute_workspace(U @ V.T, sigma, bounds)
     h = 1e-6
     k = U.shape[1]
+    HU = batched_row_hessians(V, ws, axis=0)
+    HV = batched_row_hessians(U, ws, axis=1)
     for i in (0, 4, 8):
-        H = row_hessian_u(V, ws, i)
+        H = HU[i]
         assert np.allclose(H, H.T)
         fd = np.zeros((k, k))
         for l in range(k):
@@ -320,7 +330,7 @@ def test_row_hessians_match_fd_of_gradient():
                         - grad_factors(dn, V, sigma, bounds)[0][i]) / (2 * h)
         assert rel_err(H, fd, floor=1e-3) < 1e-4
     for j in (0, 3, 6):
-        H = row_hessian_v(U, ws, j)
+        H = HV[j]
         fd = np.zeros((k, k))
         for l in range(k):
             up, dn = V.copy(), V.copy()
@@ -387,11 +397,11 @@ def test_row_hessian_trivial_forms():
     ws = compute_workspace(np.zeros((1, 3)), 1.0, b)
     ws.D2[:] = 1.0
     V = np.eye(3)
-    assert np.allclose(row_hessian_u(V, ws, 0), np.eye(3))
+    assert np.allclose(batched_row_hessians(V, ws, axis=0)[0], np.eye(3))
     # k=1 reduces to sum d2 * v^2
     V1 = np.array([[0.5], [2.0], [-1.0]])
     ws.D2[:] = [1.0, 2.0, 3.0]
-    got = row_hessian_u(V1, ws, 0)
+    got = batched_row_hessians(V1, ws, axis=0)[0]
     assert got[0, 0] == pytest.approx(1 * 0.25 + 2 * 4.0 + 3 * 1.0)
 
 
